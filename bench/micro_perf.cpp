@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 
+#include "analysis/experiment.h"
 #include "analysis/monitor.h"
 #include "analysis/platform_sinks.h"
 #include "analysis/scenario.h"
@@ -22,6 +23,7 @@
 #include "sat/session.h"
 #include "sat/solver.h"
 #include "tomo/clause.h"
+#include "tomo/cnf_builder.h"
 #include "tomo/engine.h"
 #include "topo/generator.h"
 #include "util/rng.h"
@@ -614,6 +616,80 @@ void BM_CheckpointRoundtrip(benchmark::State& state) {
   state.counters["checkpoint_bytes"] = static_cast<double>(bytes->size());
 }
 BENCHMARK(BM_CheckpointRoundtrip)->Unit(benchmark::kMillisecond);
+
+/// One serial platform run over the small world: its clause stream and
+/// pool, plus every on_path event in emission order (the churn
+/// tracker's input).  Built once, shared by the grouping benches.
+struct SmallWorldStream : iclab::MeasurementSink {
+  struct PathEvent {
+    util::Day day;
+    std::int32_t epoch;
+    topo::AsId vantage;
+    topo::AsId dest;
+    std::vector<topo::AsId> path;
+  };
+
+  SmallWorldStream() : scenario(analysis::small_scenario()), sinks(scenario) {
+    sinks.fanout.add(this);
+    scenario.platform().run(sinks.fanout);
+    sinks.fanout.remove(this);
+  }
+
+  void on_measurement(const iclab::Measurement&) override {}
+  void on_path(util::Day day, std::int32_t epoch, topo::AsId vantage, topo::AsId dest,
+               const std::vector<topo::AsId>& path) override {
+    path_events.push_back(PathEvent{day, epoch, vantage, dest, path});
+  }
+
+  analysis::Scenario scenario;
+  analysis::PlatformSinks sinks;
+  std::vector<PathEvent> path_events;
+};
+
+const SmallWorldStream& small_world_stream() {
+  static const SmallWorldStream* stream = new SmallWorldStream();
+  return *stream;
+}
+
+// CNF grouping over the small world's clause corpus, as run_experiment's
+// batch path does it: the main pass at all four granularities, then the
+// churn-stripped Figure-4 pass at day/week/month.
+void BM_BuildCnfs(benchmark::State& state) {
+  const SmallWorldStream& stream = small_world_stream();
+  const tomo::PathPool& pool = stream.sinks.clause_builder.pool();
+  const std::vector<tomo::PathClause>& clauses = stream.sinks.clause_builder.clauses();
+  tomo::CnfBuildOptions fig4;
+  fig4.granularities = analysis::ExperimentOptions{}.fig1_granularities;
+  std::size_t cnfs = 0;
+  for (auto _ : state) {
+    const std::vector<tomo::TomoCnf> main_cnfs = tomo::build_cnfs(pool, clauses);
+    const std::vector<tomo::TomoCnf> ablation_cnfs =
+        tomo::build_cnfs(pool, tomo::strip_path_churn(pool, clauses), fig4);
+    cnfs = main_cnfs.size() + ablation_cnfs.size();
+    benchmark::DoNotOptimize(cnfs);
+  }
+  state.counters["clauses"] = static_cast<double>(clauses.size());
+  state.counters["cnfs"] = static_cast<double>(cnfs);
+}
+BENCHMARK(BM_BuildCnfs)->Unit(benchmark::kMillisecond);
+
+// The Figure-3 churn tracker replaying the small world's recorded
+// on_path stream into a fresh tracker, then computing the statistics.
+void BM_ChurnTrackerOnPath(benchmark::State& state) {
+  const SmallWorldStream& stream = small_world_stream();
+  const iclab::Platform& platform = stream.scenario.platform();
+  for (auto _ : state) {
+    analysis::PathChurnTracker tracker(stream.scenario.graph(), platform.vantages(),
+                                       platform.dest_ases(), platform.config().num_days,
+                                       platform.config().epochs_per_day);
+    for (const auto& e : stream.path_events) {
+      tracker.on_path(e.day, e.epoch, e.vantage, e.dest, e.path);
+    }
+    benchmark::DoNotOptimize(tracker.compute());
+  }
+  state.counters["events"] = static_cast<double>(stream.path_events.size());
+}
+BENCHMARK(BM_ChurnTrackerOnPath)->Unit(benchmark::kMillisecond);
 
 void BM_ClauseBuild(benchmark::State& state) {
   const net::TracerouteEngine engine(bench_plan(), {});

@@ -1,5 +1,6 @@
 #include "analysis/churn_stats.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -18,6 +19,58 @@ std::uint64_t path_signature(const std::vector<topo::AsId>& path) {
   return h == 0 ? 1 : h;  // reserve 0 for "no path"
 }
 
+namespace {
+
+/// Index of each AS in `ases`, by AS id (-1 where absent; negative ids
+/// are never tracked).
+std::vector<std::int32_t> slots_by_as(const std::vector<topo::AsId>& ases) {
+  std::vector<std::int32_t> slots;
+  for (std::size_t i = 0; i < ases.size(); ++i) {
+    if (ases[i] < 0) continue;
+    const auto as = static_cast<std::size_t>(ases[i]);
+    if (as >= slots.size()) slots.resize(as + 1, -1);
+    slots[as] = static_cast<std::int32_t>(i);
+  }
+  return slots;
+}
+
+std::int32_t slot_of(const std::vector<std::int32_t>& slots, topo::AsId as) {
+  return as >= 0 && static_cast<std::size_t>(as) < slots.size()
+             ? slots[static_cast<std::size_t>(as)]
+             : -1;
+}
+
+}  // namespace
+
+bool ChurnFold::SigSet::insert(std::uint64_t sig) {
+  if (size_ == 0) {
+    first_ = sig;
+  } else {
+    if (first_ == sig || std::find(rest_.begin(), rest_.end(), sig) != rest_.end()) {
+      return false;
+    }
+    rest_.push_back(sig);
+  }
+  ++size_;
+  return true;
+}
+
+void ChurnFold::SigSet::insert_all(const SigSet& other) {
+  if (other.size_ == 0) return;
+  insert(other.first_);
+  for (const std::uint64_t sig : other.rest_) insert(sig);
+}
+
+std::vector<std::uint64_t> ChurnFold::SigSet::sorted() const {
+  std::vector<std::uint64_t> out;
+  if (size_ == 0) return out;
+  out.reserve(size_);
+  out.push_back(first_);
+  out.insert(out.end(), rest_.begin(), rest_.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 ChurnFold::ChurnFold(const topo::AsGraph& graph, std::vector<topo::AsId> vantages,
                      std::vector<topo::AsId> dests, util::Day num_days,
                      std::int32_t epochs_per_day)
@@ -25,8 +78,44 @@ ChurnFold::ChurnFold(const topo::AsGraph& graph, std::vector<topo::AsId> vantage
       vantages_(std::move(vantages)),
       dests_(std::move(dests)),
       num_days_(num_days),
-      epochs_per_day_(epochs_per_day) {
+      epochs_per_day_(epochs_per_day),
+      vantage_slot_(slots_by_as(vantages_)),
+      dest_slot_(slots_by_as(dests_)) {
   run_distinct_.resize(num_pairs());
+  last_.resize(num_pairs());
+}
+
+std::size_t ChurnFold::pair_of(topo::AsId vantage, topo::AsId dest) const {
+  const std::int32_t vi = slot_of(vantage_slot_, vantage);
+  const std::int32_t di = slot_of(dest_slot_, dest);
+  if (vi < 0 || di < 0) return kNoPair;
+  return pair_index(static_cast<std::size_t>(vi), static_cast<std::size_t>(di));
+}
+
+ChurnFold::OpenWindow& ChurnFold::open_window(std::size_t gi, std::int32_t window) {
+  std::vector<OpenWindow>& open = grans_[gi].open;
+  // Observations arrive day-ascending, so the window is almost always
+  // the newest open one; anything else is a sorted insert.
+  if (!open.empty() && open.back().window == window) return open.back();
+  auto it = open.end();
+  if (!open.empty() && open.back().window > window) {
+    it = std::lower_bound(open.begin(), open.end(), window,
+                          [](const OpenWindow& w, std::int32_t v) { return w.window < v; });
+    if (it->window == window) return *it;
+  }
+  OpenWindow fresh;
+  fresh.window = window;
+  fresh.entry_of_pair.assign(num_pairs(), -1);
+  return *open.insert(it, std::move(fresh));
+}
+
+ChurnFold::SigSet& ChurnFold::sigs_of(OpenWindow& win, std::uint32_t pair) {
+  std::int32_t& slot = win.entry_of_pair[pair];
+  if (slot < 0) {
+    slot = static_cast<std::int32_t>(win.entries.size());
+    win.entries.push_back(Entry{pair, {}});
+  }
+  return win.entries[static_cast<std::size_t>(slot)].sigs;
 }
 
 void ChurnFold::observe(std::size_t pair, util::Day day, std::uint64_t signature) {
@@ -35,9 +124,16 @@ void ChurnFold::observe(std::size_t pair, util::Day day, std::uint64_t signature
                            " arrived after watermark " + std::to_string(retired_before_) +
                            " (window already sealed)");
   }
+  if (pair >= num_pairs()) {
+    throw std::out_of_range("ChurnFold::observe: pair " + std::to_string(pair) +
+                            " out of range");
+  }
+  LastObservation& last = last_[pair];
+  if (last.day == day && last.signature == signature) return;
+  last = LastObservation{signature, day};
   for (std::size_t gi = 0; gi < util::kAllGranularities.size(); ++gi) {
     const std::int32_t window = util::window_of(day, util::kAllGranularities[gi]);
-    grans_[gi].open[{window, static_cast<std::uint32_t>(pair)}].insert(signature);
+    sigs_of(open_window(gi, window), static_cast<std::uint32_t>(pair)).insert(signature);
   }
   run_distinct_[pair].insert(signature);
 }
@@ -46,18 +142,35 @@ void ChurnFold::retire_before(util::Day complete_before) {
   if (complete_before <= retired_before_) return;  // monotone
   retired_before_ = complete_before;
   for (std::size_t gi = 0; gi < util::kAllGranularities.size(); ++gi) {
-    const util::Day len = util::window_length(util::kAllGranularities[gi]);
+    const util::Granularity g = util::kAllGranularities[gi];
     GranState& gran = grans_[gi];
-    auto it = gran.open.begin();
-    while (it != gran.open.end() &&
-           util::window_start(it->first.first, util::kAllGranularities[gi]) + len <=
+    std::size_t sealed = 0;
+    while (sealed < gran.open.size() &&
+           util::window_start(gran.open[sealed].window, g) + util::window_length(g) <=
                complete_before) {
-      const auto distinct = static_cast<std::int64_t>(it->second.size());
-      gran.counts.add(distinct);
-      ++gran.samples;
-      gran.changed += distinct >= 2 ? 1 : 0;
-      it = gran.open.erase(it);
+      for (const Entry& entry : gran.open[sealed].entries) {
+        const auto distinct = static_cast<std::int64_t>(entry.sigs.size());
+        gran.counts.add(distinct);
+        ++gran.samples;
+        gran.changed += distinct >= 2 ? 1 : 0;
+      }
+      ++sealed;
     }
+    gran.open.erase(gran.open.begin(), gran.open.begin() + static_cast<std::ptrdiff_t>(sealed));
+  }
+}
+
+void ChurnFold::union_open(const ChurnFold& other) {
+  for (std::size_t gi = 0; gi < util::kAllGranularities.size(); ++gi) {
+    for (const OpenWindow& theirs : other.grans_[gi].open) {
+      OpenWindow& mine = open_window(gi, theirs.window);
+      for (const Entry& entry : theirs.entries) {
+        sigs_of(mine, entry.pair).insert_all(entry.sigs);
+      }
+    }
+  }
+  for (std::size_t p = 0; p < run_distinct_.size(); ++p) {
+    run_distinct_[p].insert_all(other.run_distinct_[p]);
   }
 }
 
@@ -70,25 +183,7 @@ void ChurnFold::merge(ChurnFold&& other) {
         "ChurnFold::merge: sealed folds cannot merge (a window sealed on one "
         "side may still be open on the other)");
   }
-  for (std::size_t gi = 0; gi < util::kAllGranularities.size(); ++gi) {
-    for (auto& [key, sigs] : other.grans_[gi].open) {
-      auto& mine = grans_[gi].open[key];
-      if (mine.empty()) {
-        mine = std::move(sigs);
-      } else {
-        mine.insert(sigs.begin(), sigs.end());
-      }
-    }
-  }
-  for (std::size_t p = 0; p < run_distinct_.size(); ++p) {
-    auto& mine = run_distinct_[p];
-    auto& theirs = other.run_distinct_[p];
-    if (mine.empty()) {
-      mine = std::move(theirs);
-    } else {
-      mine.insert(theirs.begin(), theirs.end());
-    }
-  }
+  union_open(other);
 }
 
 void ChurnFold::absorb_unsealed(ChurnFold&& other) {
@@ -98,33 +193,20 @@ void ChurnFold::absorb_unsealed(ChurnFold&& other) {
   if (other.retired_before_ != 0) {
     throw std::logic_error("ChurnFold::absorb_unsealed: the absorbed fold must be unsealed");
   }
+  // Refuse before touching anything, so a refused absorb leaves this
+  // fold as it was.
   for (std::size_t gi = 0; gi < util::kAllGranularities.size(); ++gi) {
     const util::Granularity g = util::kAllGranularities[gi];
-    const util::Day len = util::window_length(g);
-    for (auto& [key, sigs] : other.grans_[gi].open) {
-      if (util::window_start(key.first, g) + len <= retired_before_) {
+    for (const OpenWindow& theirs : other.grans_[gi].open) {
+      if (util::window_start(theirs.window, g) + util::window_length(g) <= retired_before_) {
         throw std::logic_error("ChurnFold::absorb_unsealed: observation in a window this "
-                               "fold already sealed (" + util::window_label(key.first, g) +
+                               "fold already sealed (" + util::window_label(theirs.window, g) +
                                " ends at or before watermark " +
                                std::to_string(retired_before_) + ")");
       }
-      auto& mine = grans_[gi].open[key];
-      if (mine.empty()) {
-        mine = std::move(sigs);
-      } else {
-        mine.insert(sigs.begin(), sigs.end());
-      }
     }
   }
-  for (std::size_t p = 0; p < run_distinct_.size(); ++p) {
-    auto& mine = run_distinct_[p];
-    auto& theirs = other.run_distinct_[p];
-    if (mine.empty()) {
-      mine = std::move(theirs);
-    } else {
-      mine.insert(theirs.begin(), theirs.end());
-    }
-  }
+  union_open(other);
 }
 
 ChurnStats ChurnFold::snapshot() const {
@@ -135,11 +217,13 @@ ChurnStats ChurnFold::snapshot() const {
     util::BucketedCounts counts = gran.counts;
     std::int64_t samples = gran.samples;
     std::int64_t changed = gran.changed;
-    for (const auto& [key, sigs] : gran.open) {
-      const auto distinct = static_cast<std::int64_t>(sigs.size());
-      counts.add(distinct);
-      ++samples;
-      changed += distinct >= 2 ? 1 : 0;
+    for (const OpenWindow& win : gran.open) {
+      for (const Entry& entry : win.entries) {
+        const auto distinct = static_cast<std::int64_t>(entry.sigs.size());
+        counts.add(distinct);
+        ++samples;
+        changed += distinct >= 2 ? 1 : 0;
+      }
     }
     stats.changed_fraction[g] =
         samples == 0 ? 0.0 : static_cast<double>(changed) / static_cast<double>(samples);
@@ -168,12 +252,17 @@ ChurnStats ChurnFold::snapshot() const {
 
 std::size_t ChurnFold::open_window_entries() const {
   std::size_t n = 0;
-  for (const GranState& gran : grans_) n += gran.open.size();
+  for (const GranState& gran : grans_) {
+    for (const OpenWindow& win : gran.open) n += win.entries.size();
+  }
   return n;
 }
 
 void ChurnFold::save(util::ByteWriter& w) const {
   const auto save_as = [](util::ByteWriter& w, topo::AsId as) { w.i32(as); };
+  const auto save_sigs = [](util::ByteWriter& w, const SigSet& sigs) {
+    util::save_vec(w, sigs.sorted(), [](util::ByteWriter& w, std::uint64_t s) { w.u64(s); });
+  };
   util::save_vec(w, vantages_, save_as);
   util::save_vec(w, dests_, save_as);
   w.i32(num_days_);
@@ -182,19 +271,19 @@ void ChurnFold::save(util::ByteWriter& w) const {
     gran.counts.save(w);
     w.i64(gran.samples);
     w.i64(gran.changed);
-    util::save_map(
-        w, gran.open,
-        [](util::ByteWriter& w, const std::pair<std::int32_t, std::uint32_t>& key) {
-          w.i32(key.first);
-          w.u32(key.second);
-        },
-        [](util::ByteWriter& w, const std::set<std::uint64_t>& sigs) {
-          util::save_set(w, sigs, [](util::ByteWriter& w, std::uint64_t s) { w.u64(s); });
-        });
+    std::size_t entries = 0;
+    for (const OpenWindow& win : gran.open) entries += win.entries.size();
+    w.size(entries);
+    for (const OpenWindow& win : gran.open) {
+      for (std::size_t p = 0; p < win.entry_of_pair.size(); ++p) {
+        if (win.entry_of_pair[p] < 0) continue;
+        w.i32(win.window);
+        w.u32(static_cast<std::uint32_t>(p));
+        save_sigs(w, win.entries[static_cast<std::size_t>(win.entry_of_pair[p])].sigs);
+      }
+    }
   }
-  util::save_vec(w, run_distinct_, [](util::ByteWriter& w, const std::set<std::uint64_t>& sigs) {
-    util::save_set(w, sigs, [](util::ByteWriter& w, std::uint64_t s) { w.u64(s); });
-  });
+  util::save_vec(w, run_distinct_, save_sigs);
   w.i32(retired_before_);
 }
 
@@ -210,28 +299,36 @@ void ChurnFold::load(util::ByteReader& r) {
       epochs_per_day != epochs_per_day_) {
     throw util::SerdeError("ChurnFold::load: geometry mismatch with the restoring fold");
   }
-  const auto load_sigs = [](util::ByteReader& r) {
-    std::set<std::uint64_t> sigs;
-    util::load_set(r, sigs, [](util::ByteReader& r) { return r.u64(); });
-    return sigs;
+  const auto load_sigs = [](util::ByteReader& r, SigSet& sigs) {
+    const std::size_t n = r.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!sigs.insert(r.u64())) throw util::SerdeError("ChurnFold::load: duplicate signature");
+    }
   };
-  for (GranState& gran : grans_) {
+  for (std::size_t gi = 0; gi < grans_.size(); ++gi) {
+    GranState& gran = grans_[gi];
     gran.counts.load(r);
     gran.samples = r.i64();
     gran.changed = r.i64();
-    util::load_map(
-        r, gran.open,
-        [](util::ByteReader& r) {
-          const std::int32_t window = r.i32();
-          const std::uint32_t pair = r.u32();
-          return std::make_pair(window, pair);
-        },
-        load_sigs);
+    gran.open.clear();
+    const std::size_t n = r.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::int32_t window = r.i32();
+      const std::uint32_t pair = r.u32();
+      if (pair >= num_pairs()) throw util::SerdeError("ChurnFold::load: pair out of range");
+      SigSet& sigs = sigs_of(open_window(gi, window), pair);
+      if (!sigs.empty()) throw util::SerdeError("ChurnFold::load: duplicate open entry");
+      load_sigs(r, sigs);
+      if (sigs.empty()) throw util::SerdeError("ChurnFold::load: empty open entry");
+    }
   }
-  util::load_vec(r, run_distinct_, load_sigs);
-  if (run_distinct_.size() != num_pairs()) {
+  const std::size_t pairs = r.size();
+  if (pairs != num_pairs()) {
     throw util::SerdeError("ChurnFold::load: run_distinct size mismatch");
   }
+  run_distinct_.assign(pairs, SigSet{});
+  for (SigSet& sigs : run_distinct_) load_sigs(r, sigs);
+  last_.assign(pairs, LastObservation{});
   retired_before_ = r.i32();
 }
 
@@ -239,24 +336,18 @@ PathChurnTracker::PathChurnTracker(const topo::AsGraph& graph,
                                    std::vector<topo::AsId> vantages,
                                    std::vector<topo::AsId> dests, util::Day num_days,
                                    std::int32_t epochs_per_day)
-    : fold_(graph, std::move(vantages), std::move(dests), num_days, epochs_per_day) {
-  for (std::size_t i = 0; i < fold_.vantages().size(); ++i) {
-    vantage_index_[fold_.vantages()[i]] = i;
-  }
-  for (std::size_t i = 0; i < fold_.dests().size(); ++i) dest_index_[fold_.dests()[i]] = i;
-}
+    : fold_(graph, std::move(vantages), std::move(dests), num_days, epochs_per_day) {}
 
 void PathChurnTracker::on_path(util::Day day, std::int32_t epoch, topo::AsId vantage,
                                topo::AsId dest, const std::vector<topo::AsId>& path) {
-  const auto vi = vantage_index_.find(vantage);
-  const auto di = dest_index_.find(dest);
-  if (vi == vantage_index_.end() || di == dest_index_.end()) return;
+  const std::size_t pair = fold_.pair_of(vantage, dest);
+  if (pair == ChurnFold::kNoPair) return;
   if (day < 0 || day >= fold_.num_days() || epoch < 0 || epoch >= fold_.epochs_per_day()) {
     return;
   }
   const std::uint64_t sig = path_signature(path);
   if (sig == 0) return;  // unreachable: never a distinct path
-  fold_.observe(fold_.pair_index(vi->second, di->second), day, sig);
+  fold_.observe(pair, day, sig);
 }
 
 void PathChurnTracker::merge(PathChurnTracker&& other) {
@@ -275,10 +366,8 @@ void PathChurnTracker::adopt(ChurnFold&& fold) {
 
 std::int64_t PathChurnTracker::distinct_paths_of_pair(topo::AsId vantage,
                                                       topo::AsId dest) const {
-  const auto vi = vantage_index_.find(vantage);
-  const auto di = dest_index_.find(dest);
-  if (vi == vantage_index_.end() || di == dest_index_.end()) return 0;
-  return fold_.distinct_of_pair(fold_.pair_index(vi->second, di->second));
+  const std::size_t pair = fold_.pair_of(vantage, dest);
+  return pair == ChurnFold::kNoPair ? 0 : fold_.distinct_of_pair(pair);
 }
 
 }  // namespace ct::analysis

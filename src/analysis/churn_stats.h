@@ -15,12 +15,22 @@
 // O(pairs x epochs of the whole run).  snapshot()/compute() are valid
 // at any point and equal the batch computation over exactly the
 // observations folded so far, sealed or not.
+//
+// Layout.  Pairs are dense indices and a pair shows one path in most
+// windows, so the sets are flat: each granularity keeps its open
+// windows in ascending order, each window a vector of (pair,
+// signatures) entries in observation order plus a pair -> entry index
+// allocated when the window opens, and each signature set holds its
+// first signature inline.  Nothing is sized by windows x pairs up
+// front; sealing pops whole windows off the front, O(sealed entries).
+// A pair's repeat of its latest (day, signature) returns before any
+// window is touched.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "iclab/platform.h"
@@ -68,8 +78,15 @@ class ChurnFold {
     return vi * dests_.size() + di;
   }
 
+  static constexpr std::size_t kNoPair = std::numeric_limits<std::size_t>::max();
+  /// Pair index of (vantage, dest), or kNoPair when the fold does not
+  /// track either endpoint — the one endpoint lookup every on_path
+  /// consumer shares (an AS listed twice resolves to its last index).
+  std::size_t pair_of(topo::AsId vantage, topo::AsId dest) const;
+
   /// Records one non-empty-path signature for `pair` on `day`.  Throws
-  /// std::logic_error if the day's windows were already sealed.
+  /// std::logic_error if the day's windows were already sealed and
+  /// std::out_of_range if `pair` is not below num_pairs().
   void observe(std::size_t pair, util::Day day, std::uint64_t signature);
 
   /// Seals every window ending at or before `complete_before` into the
@@ -125,30 +142,80 @@ class ChurnFold {
   /// fold to have been constructed with the saved geometry (throws
   /// util::SerdeError on mismatch) — the graph reference is
   /// reconstruction-time config the checkpoint envelope fingerprints.
+  /// Open entries are written in (window, pair) order and signature
+  /// sets in ascending order.
   void save(util::ByteWriter& w) const;
   void load(util::ByteReader& r);
 
  private:
-  /// Sealed scalar accumulators + unsealed window sets, per granularity.
+  /// Distinct signatures: the first inline, the rest (rare — a pair
+  /// shows a handful of paths at most) in a linearly scanned vector.
+  class SigSet {
+   public:
+    /// True iff `sig` was not present.
+    bool insert(std::uint64_t sig);
+    void insert_all(const SigSet& other);
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    std::vector<std::uint64_t> sorted() const;
+
+   private:
+    std::uint32_t size_ = 0;
+    std::uint64_t first_ = 0;
+    std::vector<std::uint64_t> rest_;
+  };
+
+  struct Entry {
+    std::uint32_t pair = 0;
+    SigSet sigs;
+  };
+
+  /// One still-open window at one granularity.
+  struct OpenWindow {
+    std::int32_t window = 0;
+    /// Per pair, its index in `entries` or -1; sized num_pairs() when
+    /// the window opens.
+    std::vector<std::int32_t> entry_of_pair;
+    std::vector<Entry> entries;  // observation order
+  };
+
+  /// Sealed scalar accumulators + unsealed windows, per granularity.
   struct GranState {
     util::BucketedCounts counts{4};  // buckets 0..4 + "5+"; 0 never used
     std::int64_t samples = 0;
     std::int64_t changed = 0;
-    /// Distinct signatures of still-open windows, keyed (window, pair)
-    /// so retire_before() seals an ordered map *prefix*.
-    std::map<std::pair<std::int32_t, std::uint32_t>, std::set<std::uint64_t>> open;
+    /// Ascending by window, so retire_before() seals a prefix.
+    std::vector<OpenWindow> open;
   };
+
+  /// The open window `window` of granularity `gi`, created on first sight.
+  OpenWindow& open_window(std::size_t gi, std::int32_t window);
+  /// The signature set of `pair` in `win`, created on first sight.
+  SigSet& sigs_of(OpenWindow& win, std::uint32_t pair);
+  /// Unions `other`'s open windows and per-pair run sets into this fold.
+  void union_open(const ChurnFold& other);
 
   const topo::AsGraph* graph_;
   std::vector<topo::AsId> vantages_;
   std::vector<topo::AsId> dests_;
   util::Day num_days_ = 0;
   std::int32_t epochs_per_day_ = 0;
+  /// Index of each tracked endpoint, by AS id (-1: not tracked).
+  std::vector<std::int32_t> vantage_slot_;
+  std::vector<std::int32_t> dest_slot_;
   std::array<GranState, util::kAllGranularities.size()> grans_;
   /// Per-pair distinct signatures over the whole run (the Figure-3
   /// destination-class breakdown and distinct_paths_of_pair); bounded
   /// by the pair's distinct paths, not by run length.
-  std::vector<std::set<std::uint64_t>> run_distinct_;
+  std::vector<SigSet> run_distinct_;
+  /// Per pair, its latest observation.  A pair mostly repeats its path
+  /// over a day's epochs, and a repeated (day, signature) is already in
+  /// every set it would be added to, so observe() returns at once.
+  struct LastObservation {
+    std::uint64_t signature = 0;
+    util::Day day = -1;
+  };
+  std::vector<LastObservation> last_;
   util::Day retired_before_ = 0;
 };
 
@@ -194,8 +261,6 @@ class PathChurnTracker : public iclab::MeasurementSink {
   const ChurnFold& fold() const { return fold_; }
 
  private:
-  std::map<topo::AsId, std::size_t> vantage_index_;
-  std::map<topo::AsId, std::size_t> dest_index_;
   ChurnFold fold_;
 };
 

@@ -135,7 +135,8 @@ class WatermarkCoordinator {
                        const StreamingOptions& options,
                        util::BoundedQueue<EmittedCnf>& queue, ChurnFold& churn,
                        LiveState& live, util::HwmGauge& gauge)
-      : grouper_(options.build, &pool_),
+      : horizon_(platform.config().num_days),
+        grouper_(options.build, &pool_),
         queue_(queue),
         churn_(churn),
         live_(live),
@@ -145,11 +146,6 @@ class WatermarkCoordinator {
     // starts at day_begin, not 0 — later-range shards never hold the
     // global watermark at zero while earlier days finish.
     for (const auto& r : ranges) watermarks_.push_back(r.day_begin);
-    const auto& vantages = platform.vantages();
-    const auto& dests = platform.dest_ases();
-    for (std::size_t i = 0; i < vantages.size(); ++i) vantage_index_[vantages[i]] = i;
-    for (std::size_t i = 0; i < dests.size(); ++i) dest_index_[dests[i]] = i;
-    num_dests_ = dests.size();
   }
 
   /// The shared interned pool every buffered clause resolves in; the
@@ -158,15 +154,10 @@ class WatermarkCoordinator {
   /// Wires the optional ablation pass (must precede the first deliver).
   void set_ablation(AblationState* ablation) { ablation_ = ablation; }
 
-  /// Pair index for the global churn fold, or npos for an endpoint the
-  /// fold does not track.
+  /// Pair index for the global churn fold, or ChurnFold::kNoPair for an
+  /// endpoint the fold does not track.
   std::size_t pair_index_of(topo::AsId vantage, topo::AsId dest) const {
-    const auto vi = vantage_index_.find(vantage);
-    const auto di = dest_index_.find(dest);
-    if (vi == vantage_index_.end() || di == dest_index_.end()) {
-      return std::numeric_limits<std::size_t>::max();
-    }
-    return vi->second * num_dests_ + di->second;
+    return churn_.pair_of(vantage, dest);
   }
 
   /// Ingests `builder`'s clauses in absolute range [from, to), the
@@ -271,11 +262,16 @@ class WatermarkCoordinator {
                       std::vector<EmittedCnf>& ablated) {
     feed_locked(global);
     if (global != kShardDone) churn_.retire_before(global);
-    for (TomoCnf& tc : grouper_.advance_watermark(global)) {
+    // Capped at the horizon: the windows still open there leave only
+    // through finish()'s flush(), which must strictly follow every
+    // watermark-closed window.  Uncapped, the all-shards-done watermark
+    // would emit them here, key-sorted among the windows it closes.
+    const util::Day close_before = std::min(global, horizon_);
+    for (TomoCnf& tc : grouper_.advance_watermark(close_before)) {
       emitted.push_back(EmittedCnf{seq_++, std::move(tc)});
     }
     if (ablation_ != nullptr) {
-      for (TomoCnf& tc : ablation_->grouper.advance_watermark(global)) {
+      for (TomoCnf& tc : ablation_->grouper.advance_watermark(close_before)) {
         ablated.push_back(EmittedCnf{ablation_->seq++, std::move(tc)});
       }
     }
@@ -286,6 +282,7 @@ class WatermarkCoordinator {
   }
 
   std::mutex mutex_;
+  const util::Day horizon_;  // the platform's num_days
   std::vector<util::Day> watermarks_;  // per shard
   std::map<util::Day, DayBuffer> buffer_;
   tomo::PathPool pool_;
@@ -297,9 +294,6 @@ class WatermarkCoordinator {
   util::HwmGauge& gauge_;
   std::uint64_t seq_ = 0;
   util::Day last_mark_ = 0;
-  std::map<topo::AsId, std::size_t> vantage_index_;
-  std::map<topo::AsId, std::size_t> dest_index_;
-  std::size_t num_dests_ = 0;
 };
 
 /// Per-shard fanout member that watches the platform's measurement
@@ -330,7 +324,7 @@ class ShardTap : public iclab::MeasurementSink {
     // run's Figure-3 fold could diverge from the serial tracker's.
     if (day < 0 || day >= num_days_ || epoch < 0 || epoch >= epochs_per_day_) return;
     const std::size_t pair = coordinator_.pair_index_of(vantage, dest);
-    if (pair == std::numeric_limits<std::size_t>::max()) return;
+    if (pair == ChurnFold::kNoPair) return;
     const std::uint64_t sig = path_signature(path);
     if (sig == 0) return;  // unreachable: never a distinct path
     day_churn_[day][static_cast<std::uint32_t>(pair)].insert(sig);

@@ -6,14 +6,41 @@
 #include <utility>
 
 #include "tomo/cnf_builder.h"
+#include "util/rng.h"
 #include "util/serde.h"
 
 namespace ct::tomo {
 
+std::uint64_t PathPool::fingerprint(const std::vector<topo::AsId>& path) {
+  std::uint64_t h = 0x9E3779B97F4A7C15ULL;
+  for (const topo::AsId as : path) h = util::mix64(h, static_cast<std::uint32_t>(as));
+  return h;
+}
+
+void PathPool::grow_index() {
+  slots_.assign(slots_.empty() ? 64 : 2 * slots_.size(), -1);
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t id = 0; id < paths_.size(); ++id) {
+    std::size_t i = static_cast<std::size_t>(fingerprints_[id]) & mask;
+    while (slots_[i] != -1) i = (i + 1) & mask;
+    slots_[i] = static_cast<PathId>(id);
+  }
+}
+
 PathPool::PathId PathPool::intern(const std::vector<topo::AsId>& path) {
-  const auto [it, inserted] = index_.emplace(path, static_cast<PathId>(paths_.size()));
-  if (inserted) paths_.push_back(path);
-  return it->second;
+  if (2 * (paths_.size() + 1) > slots_.size()) grow_index();
+  const std::uint64_t fp = fingerprint(path);
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = static_cast<std::size_t>(fp) & mask;
+  for (; slots_[i] != -1; i = (i + 1) & mask) {
+    const auto id = static_cast<std::size_t>(slots_[i]);
+    if (fingerprints_[id] == fp && paths_[id] == path) return slots_[i];
+  }
+  const auto id = static_cast<PathId>(paths_.size());
+  slots_[i] = id;
+  paths_.push_back(path);
+  fingerprints_.push_back(fp);
+  return id;
 }
 
 void PathPool::save(util::ByteWriter& w) const {
@@ -23,14 +50,17 @@ void PathPool::save(util::ByteWriter& w) const {
 }
 
 void PathPool::load(util::ByteReader& r) {
-  index_.clear();
-  util::load_vec(r, paths_, [](util::ByteReader& r) {
+  std::vector<std::vector<topo::AsId>> paths;
+  util::load_vec(r, paths, [](util::ByteReader& r) {
     std::vector<topo::AsId> path;
     util::load_vec(r, path, [](util::ByteReader& r) { return topo::AsId{r.i32()}; });
     return path;
   });
-  for (std::size_t i = 0; i < paths_.size(); ++i) {
-    index_.emplace(paths_[i], static_cast<PathId>(i));
+  *this = PathPool{};
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    if (static_cast<std::size_t>(intern(paths[i])) != i) {
+      throw util::SerdeError("PathPool::load: duplicate path");
+    }
   }
 }
 

@@ -10,12 +10,14 @@
 //
 // Paths are interned in a PathPool: a year-long run emits millions of
 // clauses over a few thousand distinct AS paths, so clauses store a
-// 4-byte path id instead of a vector.
+// 4-byte path id instead of a vector.  The pool's dedup index is an
+// open-addressing table of path ids probed by a 64-bit path
+// fingerprint; every fingerprint hit is confirmed by full-path
+// equality, so distinct paths never share an id.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -52,13 +54,22 @@ class PathPool {
 
   /// Checkpoint support (analysis/checkpoint.h).  save() emits the
   /// interned paths in id order; load() replaces the pool wholesale and
-  /// rebuilds the dedup index, so ids survive a save/load round trip.
+  /// rebuilds the dedup index, so ids survive a save/load round trip
+  /// (a repeated path, which save() never writes, is a SerdeError).
   void save(util::ByteWriter& w) const;
   void load(util::ByteReader& r);
 
  private:
-  std::map<std::vector<topo::AsId>, PathId> index_;
+  static std::uint64_t fingerprint(const std::vector<topo::AsId>& path);
+  /// Doubles the index (64 slots at first) and re-slots every path.
+  void grow_index();
+
   std::vector<std::vector<topo::AsId>> paths_;
+  /// fingerprint(paths_[id]), per id.
+  std::vector<std::uint64_t> fingerprints_;
+  /// Open-addressing index: path ids by fingerprint (linear probing,
+  /// power-of-two size, at most half full), -1 marks an empty slot.
+  std::vector<PathId> slots_;
 };
 
 /// One boolean path constraint (20 bytes).

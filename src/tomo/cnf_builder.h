@@ -19,16 +19,23 @@
 //     emits exactly the CNFs whose windows closed, while they are still
 //     warm, so SAT analysis can overlap ingest (README "Streaming
 //     ingest").
+//
+// Layout.  Every key component is a small dense integer, so grouping
+// runs on flat arrays rather than node-based maps: a hash index maps
+// (URL, anomaly) to a run of consecutive chains, one per configured
+// granularity; each chain holds its open windows in ascending order
+// (almost always one or two); each window group dedups its path ids in
+// flat open-addressing sets.  CNF construction marks ASes in stamp
+// arrays indexed by AS id instead of building per-CNF sets and maps.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "sat/types.h"
 #include "tomo/clause.h"
+#include "util/flat_hash.h"
 
 namespace ct::tomo {
 
@@ -135,7 +142,7 @@ class StreamingCnfBuilder {
 
   /// Lowest day a new clause may still carry.
   util::Day watermark() const { return watermark_; }
-  std::size_t open_windows() const { return groups_.size(); }
+  std::size_t open_windows() const { return open_groups_; }
   std::int64_t emitted() const { return emitted_; }
 
   /// Checkpoint support (analysis/checkpoint.h): persists the open
@@ -144,28 +151,66 @@ class StreamingCnfBuilder {
   /// restoring caller must recreate identically (the checkpoint
   /// envelope's config fingerprint guards this).  In borrowed-pool mode
   /// the group path ids resolve in the borrowed pool, so the caller must
-  /// save/load that pool alongside.
+  /// save/load that pool alongside.  Groups are written in CnfKey order
+  /// and id sets in ascending order, so the bytes are a pure function
+  /// of the grouped stream.
   void save(util::ByteWriter& w) const;
   void load(util::ByteReader& r);
 
  private:
+  /// One open (URL, anomaly, granularity, window) group.
   struct Group {
-    // Deduplicated positive / negative path ids, insertion-ordered
-    // (positives keep path order for the leakage analysis).
+    std::int32_t window = 0;
+    /// Distinct positive path ids in first-occurrence order (positives
+    /// keep stream order for the leakage analysis).
     std::vector<PathPool::PathId> positive_ids;
-    std::set<PathPool::PathId> positive_seen;
-    std::set<PathPool::PathId> negative_seen;
+    util::FlatIdSet positive_seen;
+    util::FlatIdSet negative_seen;
   };
 
-  TomoCnf build_group(const CnfKey& key, const Group& group) const;
+  /// One (URL, anomaly, granularity) chain and its open windows,
+  /// ascending by window.
+  struct Chain {
+    ChainKey key;
+    std::vector<Group> open;
+  };
+
+  /// Index of the first of the grans_.size() consecutive chains of
+  /// (url_id, anomaly), created on first sight.
+  std::size_t chain_base(std::int32_t url_id, censor::Anomaly anomaly);
+  /// The open group of `window` in `chain`, created on first sight.
+  Group& group_of(Chain& chain, std::int32_t window);
+  /// Builds, counts, and drops every open group whose window ends at or
+  /// before `end_limit`, in CnfKey order.
+  std::vector<TomoCnf> emit_closed(std::int64_t end_limit);
+  TomoCnf build_group(const ChainKey& chain, const Group& group);
+  /// Grows the AS-indexed scratch arrays to cover `as`.
+  void cover_as(topo::AsId as);
   const PathPool& pool() const { return borrowed_pool_ ? *borrowed_pool_ : pool_; }
 
   CnfBuildOptions options_;
+  /// options_.granularities, sorted and deduplicated.
+  std::vector<util::Granularity> grans_;
   const PathPool* borrowed_pool_ = nullptr;
   PathPool pool_;  // used only when not borrowing
-  std::map<CnfKey, Group> groups_;
+  std::vector<Chain> chains_;
+  /// pack_ids(url_id, anomaly) -> chain_base.
+  util::FlatIndex chain_index_;
+  /// chains_ indices in ChainKey order.
+  std::vector<std::size_t> chain_order_;
+  std::size_t open_groups_ = 0;
   util::Day watermark_ = 0;
   std::int64_t emitted_ = 0;
+
+  // build_group scratch, indexed by AS id.  A group (or clause) owns the
+  // current stamp value, so starting the next one clears every mark in
+  // O(1).
+  std::vector<std::uint32_t> as_seen_;      // AS is a variable of the CNF
+  std::vector<std::uint32_t> as_negative_;  // AS lies on a clean path
+  std::vector<std::uint32_t> as_in_clause_; // AS already in this clause
+  std::vector<sat::Var> var_of_as_;
+  std::uint32_t group_stamp_ = 0;
+  std::uint32_t clause_stamp_ = 0;
 };
 
 /// Groups clauses into per-(URL, anomaly, window) CNFs.  Output is
@@ -197,12 +242,14 @@ class ChurnStripFilter {
   bool keep(const PathPool& pool, const PathClause& clause);
 
   /// Checkpoint support: persists the recorded first-path ids (which
-  /// resolve in the caller's pool — save/load that pool alongside).
+  /// resolve in the caller's pool — save/load that pool alongside), in
+  /// ascending (vantage, URL) order.
   void save(util::ByteWriter& w) const;
   void load(util::ByteReader& r);
 
  private:
-  std::map<std::pair<topo::AsId, std::int32_t>, PathPool::PathId> first_path_;
+  /// pack_ids(vantage, url_id) -> first path id.
+  util::FlatIndex first_path_;
 };
 
 /// Figure 4's ablation filter: keeps, per (vantage, URL), only the

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "util/rng.h"
+#include "util/serde.h"
+
 namespace ct::tomo {
 namespace {
 
@@ -21,6 +26,42 @@ TEST(PathPool, EmptyPathInternable) {
   PathPool pool;
   const auto id = pool.intern({});
   EXPECT_TRUE(pool.get(id).empty());
+}
+
+TEST(PathPool, IdsMatchAMapThroughGrowthAndRoundTrip) {
+  // Enough distinct paths to regrow the index many times, with repeats
+  // and shared prefixes; ids are first-sight order, as a std::map
+  // reference assigns them.
+  util::Rng rng(7);
+  PathPool pool;
+  std::map<std::vector<topo::AsId>, PathPool::PathId> reference;
+  for (int i = 0; i < 20000; ++i) {
+    std::vector<topo::AsId> path(static_cast<std::size_t>(rng.uniform_int(0, 5)));
+    for (topo::AsId& as : path) as = static_cast<topo::AsId>(rng.uniform_int(0, 11));
+    const auto expected = reference.emplace(path, static_cast<PathPool::PathId>(reference.size()));
+    ASSERT_EQ(pool.intern(path), expected.first->second);
+  }
+  ASSERT_EQ(pool.size(), reference.size());
+
+  util::ByteWriter w;
+  pool.save(w);
+  PathPool restored;
+  util::ByteReader r(w.bytes());
+  restored.load(r);
+  r.expect_end();
+  for (const auto& [path, id] : reference) EXPECT_EQ(restored.intern(path), id);
+  EXPECT_EQ(restored.size(), reference.size());
+
+  // save() never writes a path twice; a payload that does is refused.
+  util::ByteWriter dup;
+  dup.size(2);
+  for (int k = 0; k < 2; ++k) {
+    dup.size(2);
+    dup.i32(4);
+    dup.i32(9);
+  }
+  util::ByteReader dup_reader(dup.bytes());
+  EXPECT_THROW(restored.load(dup_reader), util::SerdeError);
 }
 
 /// Builds a measurement whose traceroutes hit the given mini address
