@@ -5,8 +5,8 @@
 // ground truth for each.  This is the "does tomography still localize
 // when the assumption breaks?" table archived in EXPERIMENTS.md.
 //
-//   $ [CT_SAT_BACKEND=...] [CT_SAT_DELTA=...] [CT_PLATFORM_SHARDS=N] \
-//       ./accuracy_report [--small] [seed]
+//   $ [CT_SAT_BACKEND=...] [CT_SAT_DELTA=...] [CT_PLATFORM_SHARDS=N]
+//     ./accuracy_report [--small] [seed]
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>

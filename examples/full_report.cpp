@@ -2,9 +2,9 @@
 // table and figure of the paper, plus ground-truth validation.  Also
 // drops plot-ready CSV series for each figure.
 //
-//   $ [CT_SAT_BACKEND={auto,cdcl,count,unitprop}] [CT_SAT_DELTA={0,1}] \
-//       [CT_SCENARIO={baseline,routing,multipath,adaptive,pathdiv}] \
-//       ./full_report [seed] [csv-dir]
+//   $ [CT_SAT_BACKEND={auto,cdcl,count,unitprop}] [CT_SAT_DELTA={0,1}]
+//     [CT_SCENARIO={baseline,routing,multipath,adaptive,pathdiv}]
+//     ./full_report [seed] [csv-dir]
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>

@@ -91,10 +91,10 @@ class ChurnFold {
 
   /// Seals every window ending at or before `complete_before` into the
   /// fixed-size accumulators and frees its raw signature sets.  Only a
-  /// fold that sees the *whole* observation stream (a serial tracker, or
-  /// the streaming coordinator's global fold) may seal mid-run: sealed
-  /// folds cannot merge (a shard-local fold must stay unsealed so
-  /// merge() can union windows that straddle shard boundaries).
+  /// fold that sees the *whole* observation stream (the resident
+  /// monitor's global fold) may seal mid-run: sealed folds cannot merge
+  /// (a shard-local fold must stay unsealed so merge() can union windows
+  /// that straddle shard boundaries).
   void retire_before(util::Day complete_before);
   util::Day retired_before() const { return retired_before_; }
 
@@ -234,18 +234,6 @@ class PathChurnTracker : public iclab::MeasurementSink {
   /// unsealed; per-window signature sets are unioned, so the result is
   /// associative and commutative, with a fresh tracker as identity.
   void merge(PathChurnTracker&& other);
-
-  /// Streaming retire hook: seals every window ending at or before
-  /// `complete_before` (driven by the platform's day-complete
-  /// watermark) and drops its raw signature sets.  compute() is
-  /// unchanged by sealing; memory drops to O(pairs x open windows).
-  void retire_before(util::Day complete_before) { fold_.retire_before(complete_before); }
-
-  /// Replaces this tracker's fold with `fold` (same geometry) — the
-  /// sharded streaming pipeline folds churn globally behind the
-  /// min-merged watermark and hands the finished fold back to the
-  /// merged sink bundle here.
-  void adopt(ChurnFold&& fold);
 
   /// Moves the fold out (the tracker is spent afterwards) — the
   /// resident monitor absorbs each merged segment tracker's fold into

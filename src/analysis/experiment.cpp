@@ -7,15 +7,15 @@
 #include <vector>
 
 #include "analysis/live_report.h"
+#include "analysis/monitor.h"
 #include "analysis/platform_sinks.h"
-#include "analysis/streaming_pipeline.h"
 
 namespace ct::analysis {
 
 namespace {
 
 /// Batch Figure 4: strip churn, rebuild, analyze with resolved counts —
-/// the phase-separated form of the streaming pipeline's ablation pass.
+/// the phase-separated form of the monitor's ablation pass.
 void run_fig4_batch(const tomo::PathPool& pool, const std::vector<tomo::PathClause>& clauses,
                     const ExperimentOptions& options, Fig4Fold& fig4) {
   const std::vector<tomo::PathClause> stripped = tomo::strip_path_churn(pool, clauses);
@@ -125,65 +125,44 @@ Fig5Data make_fig5(const topo::AsGraph& graph, const std::vector<topo::AsId>& ce
 }  // namespace
 
 ExperimentResult run_experiment(Scenario& scenario, const ExperimentOptions& options) {
-  // --- platform run + CNF construction + main SAT pass ---
-  // Batch: run all sinks to completion, then build every CNF, then
-  // analyze the batch, then run the Figure-4 ablation as a second
-  // batch.  Streaming: everything overlapped — the pipeline feeds the
-  // same folds verdict by verdict, retires raw clauses behind the
-  // watermark (O(open windows) memory), and streams the ablation
-  // through its second analyzer pool.  Same results either way: the
-  // folds are shared, and their products are order-independent.
-  // Nothing downstream of the main pass reads counts beyond the 0/1/2+
-  // class (Figures 1/2, censor identification, leakage), so let the
-  // sessions stop enumerating at two models.
+  if (options.streaming) {
+    // Memory bounded by one ingest segment: the resident monitor runs
+    // the same folds segment by segment and finalizes through
+    // finalize_experiment_result, so the report is byte-identical.  Its
+    // own counters cover both SAT passes; report the main pass alone,
+    // as the batch path does.
+    MonitorOptions monitor_options;
+    monitor_options.experiment = options;
+    MonitorEngine monitor(scenario, std::move(monitor_options));
+    ExperimentResult result = monitor.finalize();
+    result.engine_stats = monitor.main_pass_stats();
+    return result;
+  }
+
+  // Platform run, then every CNF, then the main SAT pass as one batch,
+  // then the Figure-4 ablation as a second batch.  Nothing downstream
+  // of the main pass reads counts beyond the 0/1/2+ class (Figures 1/2,
+  // censor identification, leakage), so let the sessions stop
+  // enumerating at two models.
   tomo::AnalysisOptions main_analysis = options.analysis;
   main_analysis.resolve_counts = false;
   main_analysis.num_threads = options.num_threads;
 
   ExperimentFolds folds(options);
-  ExperimentResult result;
+  const std::unique_ptr<PlatformSinks> sinks =
+      run_platform(scenario, options.num_platform_shards);
+  const std::vector<tomo::TomoCnf> cnfs =
+      tomo::build_cnfs(sinks->clause_builder.pool(), sinks->clause_builder.clauses());
+  tomo::EngineStats engine_stats;
+  const std::vector<tomo::CnfVerdict> verdicts =
+      tomo::analyze_cnfs(cnfs, main_analysis, &engine_stats);
+  for (std::size_t i = 0; i < cnfs.size(); ++i) folds.add_main(cnfs[i], verdicts[i]);
+  run_fig4_batch(sinks->clause_builder.pool(), sinks->clause_builder.clauses(), options,
+                 folds.fig4);
 
-  std::unique_ptr<PlatformSinks> sinks;
-  ChurnStats fig3;
-  if (options.streaming) {
-    StreamingOptions streaming;
-    streaming.num_platform_shards = options.num_platform_shards;
-    streaming.analysis = main_analysis;
-    // O(open windows): the folds consume every (CNF, verdict) as it is
-    // released, so nothing asks the pipeline to retain the run.
-    streaming.retain_clauses = false;
-    streaming.retain_results = false;
-    streaming.on_verdict = [&folds](const tomo::TomoCnf& cnf, const tomo::CnfVerdict& v) {
-      folds.add_main(cnf, v);
-    };
-    StreamingOptions::Ablation ablation;
-    ablation.build.granularities = options.fig1_granularities;
-    ablation.analysis = options.analysis;
-    ablation.analysis.resolve_counts = true;
-    ablation.analysis.num_threads = options.num_threads;
-    ablation.on_verdict = [&folds](const tomo::CnfVerdict& v) { folds.fig4.add(v); };
-    streaming.ablation = std::move(ablation);
-
-    StreamingResult piped = run_streaming_pipeline(scenario, streaming);
-    sinks = std::move(piped.sinks);
-    result.engine_stats = piped.engine_stats;
-    fig3 = std::move(piped.final_report.churn);
-  } else {
-    sinks = run_platform(scenario, options.num_platform_shards);
-    const std::vector<tomo::TomoCnf> cnfs =
-        tomo::build_cnfs(sinks->clause_builder.pool(), sinks->clause_builder.clauses());
-    const std::vector<tomo::CnfVerdict> verdicts =
-        tomo::analyze_cnfs(cnfs, main_analysis, &result.engine_stats);
-    for (std::size_t i = 0; i < cnfs.size(); ++i) folds.add_main(cnfs[i], verdicts[i]);
-    run_fig4_batch(sinks->clause_builder.pool(), sinks->clause_builder.clauses(), options,
-                   folds.fig4);
-    fig3 = sinks->churn_tracker.compute();
-  }
-
-  const tomo::EngineStats engine_stats = result.engine_stats;
-  result = finalize_experiment_result(scenario, options, folds, sinks->summary,
-                                      sinks->clause_builder.stats(), sinks->truth_tracker,
-                                      std::move(fig3));
+  ExperimentResult result = finalize_experiment_result(
+      scenario, options, folds, sinks->summary, sinks->clause_builder.stats(),
+      sinks->truth_tracker, sinks->churn_tracker.compute());
   result.engine_stats = engine_stats;
   return result;
 }

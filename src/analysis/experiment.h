@@ -1,6 +1,6 @@
 // The full evaluation pipeline (paper §4).
 //
-// run_experiment() executes: platform run (streaming into the dataset
+// run_experiment() executes: platform run (feeding the dataset
 // summary, clause builder, churn tracker, and truth tracker) → CNF
 // construction at all four granularities → SAT analysis → leakage
 // analysis → ground-truth scoring, and packages the data behind every
@@ -153,21 +153,24 @@ struct ExperimentOptions {
   /// Per-cell RNG streams keyed on schedule coordinates make the result
   /// bit-identical for every value (see README "Sharded execution").
   unsigned num_platform_shards = 1;
-  /// Runs the platform→CNF→SAT half of the pipeline fully overlapped:
-  /// window-complete CNFs stream out of the clause builder as the
-  /// measurement clock passes each window boundary and are analyzed
-  /// while measurements are still arriving (README "Streaming ingest").
-  /// Composes with num_platform_shards (per-shard watermarks are
-  /// min-merged).  Results are bit-identical to the batch path — the
-  /// streaming equivalence suite enforces it.
+  /// Selects the memory model.  false materializes the run: every
+  /// clause and CNF exists before the first SAT call.  true runs the
+  /// experiment on a MonitorEngine with default MonitorOptions, so
+  /// memory is bounded by one ingest segment, not by the run length
+  /// (README "Streaming ingest").  Composes with num_platform_shards.
+  /// The report is byte-identical either way; the streaming
+  /// equivalence suite enforces it.
   bool streaming = false;
   /// Evidence threshold for declaring an AS a censor (distinct
   /// (URL, anomaly) pairs with unique-solution CNFs); filters one-off
   /// detector false positives.
   std::int32_t min_support = 2;
-  /// Granularities for Figure 1a (the paper plots day/week/month).
-  std::vector<util::Granularity> fig1_granularities{
-      util::Granularity::kDay, util::Granularity::kWeek, util::Granularity::kMonth};
+  /// Granularities for Figure 1a (the paper plots day/week/month: every
+  /// granularity but the year).  Copied from kAllGranularities rather
+  /// than a braced list, whose inlined copy GCC 12 misreports as
+  /// -Wmaybe-uninitialized at -O2 and above.
+  std::vector<util::Granularity> fig1_granularities{util::kAllGranularities.begin(),
+                                                    util::kAllGranularities.end() - 1};
 };
 
 /// Runs the whole pipeline on a scenario.  Deterministic.

@@ -1,12 +1,11 @@
 // Incremental experiment analytics and the any-time results snapshot.
 //
-// The batch pipeline derives the paper's figures from fully
-// materialized verdict vectors; these folds derive the same data
-// products one verdict at a time, so the streaming pipeline can drop
-// each CNF and verdict the moment it is analyzed (O(open windows)
-// memory) and surface a valid LiveReport at every watermark.  Both
-// run_experiment paths — batch and streaming — run on the same folds,
-// so their products cannot diverge: everything a fold accumulates is
+// These folds derive the paper's data products one verdict at a time,
+// so the resident monitor can drop each CNF and verdict the moment it
+// is analyzed and surface a valid LiveReport at every watermark.  The
+// batch run_experiment and the monitor (which also serves
+// run_experiment's streaming mode) run on the same folds, so their
+// products cannot diverge: everything a fold accumulates is
 // order-independent (counts and set unions), and the one order-bearing
 // product (Figure 2's per-CNF sample vector) is key-sorted at
 // finalization, which is exactly the batch iteration order.
@@ -26,11 +25,13 @@
 
 namespace ct::analysis {
 
-/// Any-time snapshot of a streaming run, valid at a watermark: the
+/// Any-time snapshot of a monitor run, valid at a watermark: the
 /// verdict counts cover exactly the CNFs of windows sealed by the
-/// watermark (in emitted-CNF order), and the churn stats cover exactly
-/// the measurement days below it — so every LiveReport equals the batch
-/// computation over its sealed prefix (the property suite holds this).
+/// watermark, and the churn stats cover the ingested measurement days.
+/// Ingested one day per segment, that is exactly the days below the
+/// watermark, so every LiveReport equals the batch computation over its
+/// sealed prefix (monitor_live_test.cpp holds this); a report published
+/// inside a longer segment carries the churn of the whole segment.
 struct LiveReport {
   /// Every window ending at or before this day is included.
   util::Day watermark = 0;
@@ -120,8 +121,8 @@ class Fig4Fold {
 
 /// The incremental folds every data product downstream of the main SAT
 /// pass is derived from.  Batch feeds them from the materialized
-/// verdict vectors (key order); streaming and the resident monitor feed
-/// them from the any-time callbacks (emission order).  Every fold is
+/// verdict vectors (key order); the resident monitor feeds them day by
+/// day as windows close (emission order).  Every fold is
 /// order-independent (or key-sorts at finalization), so all paths are
 /// byte-identical by construction.
 struct ExperimentFolds {
@@ -146,9 +147,10 @@ struct ExperimentFolds {
 
 /// Derives the full ExperimentResult (tables, figures, censor lists,
 /// leakage, ground-truth scores) from sealed folds plus the run-wide
-/// sink products.  This is the one finalization path: run_experiment
-/// (batch and streaming) and MonitorEngine::finalize both end here, so
-/// a resumed monitor run reproduces the batch report byte for byte.
+/// sink products.  This is the one finalization path: the batch
+/// run_experiment and MonitorEngine::finalize (which also serves
+/// run_experiment's streaming mode) both end here, so a resumed monitor
+/// run reproduces the batch report byte for byte.
 /// `engine_stats` is NOT filled in — the caller owns its SAT counters.
 ExperimentResult finalize_experiment_result(Scenario& scenario,
                                             const ExperimentOptions& options,

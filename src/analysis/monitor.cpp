@@ -108,47 +108,8 @@ void MonitorEngine::run_until(util::Day target) {
 }
 
 void MonitorEngine::ingest_segment(util::Day d0, util::Day d1) {
-  const iclab::Platform& platform = scenario_->platform();
-  const unsigned requested = options_.experiment.num_platform_shards;
-  const unsigned shards =
-      requested == 0 ? util::ThreadPool::hardware_threads() : requested;
-
-  std::unique_ptr<PlatformSinks> merged;
-  if (shards <= 1) {
-    auto sinks = std::make_unique<PlatformSinks>(*scenario_);
-    iclab::ShardRange range;
-    range.day_begin = d0;
-    range.day_end = d1;
-    range.vantage_begin = 0;
-    range.vantage_end = static_cast<std::int32_t>(platform.vantages().size());
-    platform.run_shard(sinks->fanout, range);
-    merged = std::move(sinks);
-  } else {
-    // Plan the segment's rectangle like run_platform plans the whole
-    // schedule, then shift the day ranges to the segment's offset; the
-    // route cache shares each epoch's tables across vantage-split
-    // shards exactly as in the full-run path.
-    std::vector<iclab::ShardRange> ranges =
-        iclab::plan_shards(d1 - d0, static_cast<std::int32_t>(platform.vantages().size()),
-                           static_cast<std::int32_t>(shards));
-    for (iclab::ShardRange& range : ranges) {
-      range.day_begin += d0;
-      range.day_end += d0;
-    }
-    auto route_cache = std::make_shared<bgp::EpochRouteCache>();
-    iclab::expect_shard_epochs(*route_cache, ranges, platform.config().epochs_per_day);
-    std::vector<std::unique_ptr<PlatformSinks>> sinks;
-    std::vector<iclab::MeasurementSink*> targets;
-    sinks.reserve(ranges.size());
-    targets.reserve(ranges.size());
-    for (std::size_t i = 0; i < ranges.size(); ++i) {
-      sinks.push_back(std::make_unique<PlatformSinks>(*scenario_));
-      targets.push_back(&sinks.back()->fanout);
-    }
-    const unsigned workers = std::min(shards, util::ThreadPool::hardware_threads());
-    platform.run_shards(ranges, targets, workers, route_cache.get());
-    merged = merge_shard_sinks(std::move(sinks));
-  }
+  const std::unique_ptr<PlatformSinks> merged =
+      run_platform(*scenario_, options_.experiment.num_platform_shards, d0, d1);
 
   // Fold the segment's run-wide sink products into the persistent state.
   summary_.merge(std::move(merged->summary));
@@ -229,6 +190,12 @@ void MonitorEngine::publish_report() {
   folds_.verdicts.counts().fill(*report);
   report->churn = churn_fold_.snapshot();
   server_.publish(std::move(report));
+}
+
+tomo::EngineStats MonitorEngine::main_pass_stats() const {
+  tomo::EngineStats stats;
+  for (const tomo::CnfAnalyzer& arena : main_arenas_) stats.add_arena(arena.session_stats());
+  return stats;
 }
 
 tomo::EngineStats MonitorEngine::engine_now() const {

@@ -5,9 +5,10 @@
 // CNFs are analyzed the moment the watermark seals them (on persistent
 // per-lane solver arenas, so cross-window delta chains stay hot across
 // segments), and every data product accumulates in the same
-// ExperimentFolds the batch and streaming paths use — so
-// MonitorEngine::finalize() reproduces run_experiment()'s report byte
-// for byte (checkpoint.h's serialize_report() is the oracle).
+// ExperimentFolds the batch path uses — so MonitorEngine::finalize()
+// reproduces the batch run_experiment()'s report byte for byte
+// (checkpoint.h's serialize_report() is the oracle).  run_experiment
+// with ExperimentOptions::streaming runs on this engine.
 //
 // Crash safety: checkpoint() serializes the monitor's complete
 // persistent state — the interned path pool, the open window groups of
@@ -23,11 +24,12 @@
 // never changes a verdict (verdicts are pure functions of (CNF,
 // options); the delta/backend equivalence suites hold this).
 //
-// Memory: O(open windows), independent of run length.  Each segment's
-// raw clauses live only between its platform replay and its per-day
-// drain (tracked by an HwmGauge); the window groups, churn fold, and
-// folds are all watermark-sealed.  A 10-year replay holds a flat
-// retained-clause peak — the CI smoke job asserts it.
+// Memory: one ingest segment plus the open windows, independent of run
+// length.  Each segment's raw clauses live only between its platform
+// replay and its per-day drain (tracked by an HwmGauge); the window
+// groups, churn fold, and folds are all watermark-sealed.  A 10-year
+// replay holds a flat retained-clause peak — the CI smoke job asserts
+// it.
 //
 // LiveReports are served to any number of concurrent readers through
 // LiveReportServer: one atomic shared_ptr swap per watermark, wait-free
@@ -106,7 +108,7 @@ struct MonitorOptions {
   /// Result-determining configuration (fingerprinted into checkpoints)
   /// plus the execution knobs (threads, shards, backend, delta — all
   /// checkpoint-compatible across changes).  `experiment.streaming` is
-  /// ignored: the monitor is its own ingest loop.
+  /// ignored: the monitor is the streaming mode.
   ExperimentOptions experiment;
   /// Ingest segment length in days: each segment is one platform replay
   /// (sharded per `experiment.num_platform_shards`) whose clauses are
@@ -195,6 +197,12 @@ class MonitorEngine {
   const LiveReportServer& reports() const { return server_; }
 
   MonitorStats stats() const;
+
+  /// SAT counters of this engine's main-pass arenas alone: no Figure-4
+  /// pass, no counters restored from a checkpoint, no snapshot-server
+  /// counters.  run_experiment reports these, as its batch path counts
+  /// only the main pass.
+  tomo::EngineStats main_pass_stats() const;
 
  private:
   void ingest_segment(util::Day d0, util::Day d1);

@@ -88,12 +88,8 @@ class MeasurementSink {
   /// Measurement-clock watermark: called after the last measurement of
   /// each routing epoch, meaning every measurement of that (day, epoch)
   /// — within the emitting shard's range — has been delivered.  When
-  /// `epoch` is the day's last, day `day` is complete; streaming
-  /// consumers use this to close time windows that end at `day + 1`:
-  /// CNF emission, the incremental churn/leakage folds' seal points,
-  /// clause retirement, and the any-time LiveReport snapshots all hang
-  /// off this one clock (see README "Streaming ingest" and "Any-time
-  /// results & memory model").
+  /// `epoch` is the day's last, day `day` is complete; a streaming
+  /// consumer may close the time windows that end at `day + 1` here.
   virtual void on_epoch_complete(util::Day /*day*/, std::int32_t /*epoch*/) {}
 };
 

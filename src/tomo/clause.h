@@ -18,13 +18,11 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "censor/policy.h"
 #include "iclab/platform.h"
 #include "net/traceroute.h"
-#include "util/hwm.h"
 #include "util/timewin.h"
 
 namespace ct::util {
@@ -33,12 +31,6 @@ class ByteReader;
 }  // namespace ct::util
 
 namespace ct::tomo {
-
-// Defined in tomo/cnf_builder.h (which includes this header); the
-// streaming API below hands them across by forward declaration.
-class StreamingCnfBuilder;
-struct CnfBuildOptions;
-struct TomoCnf;
 
 /// Deduplicating store of AS-level paths.
 class PathPool {
@@ -121,35 +113,8 @@ class ClauseBuilder : public iclab::MeasurementSink {
  public:
   /// The database must outlive the builder.
   explicit ClauseBuilder(const net::Ip2AsDb& db);
-  ~ClauseBuilder();
-
-  /// Copies everything, including any streaming state.
-  ClauseBuilder(const ClauseBuilder& other);
-  ClauseBuilder(ClauseBuilder&&) noexcept;
 
   void on_measurement(const iclab::Measurement& m) override;
-
-  /// Enables incremental CNF emission: from now on every clause is also
-  /// filed into an embedded StreamingCnfBuilder, and the watermark API
-  /// below emits window-complete CNFs while the platform run is still
-  /// in flight.  Requires a *serial* clause stream (ascending
-  /// Measurement::seq, i.e. a one-shard platform run); the sharded
-  /// streaming path min-merges shard streams in
-  /// analysis::StreamingPipeline instead.  Must be called before the
-  /// first measurement.
-  void start_streaming(const CnfBuildOptions& options);
-  void start_streaming();  // all four granularities, require_positive
-  bool streaming() const { return streaming_ != nullptr; }
-
-  /// Declares every measurement with day < complete_before delivered
-  /// (driven by the platform's measurement clock — see
-  /// MeasurementSink::on_epoch_complete) and returns the CNFs of the
-  /// windows that just closed, sorted by key.  Streaming mode only.
-  std::vector<TomoCnf> advance_watermark(util::Day complete_before);
-
-  /// End of run: emits every still-open window, sorted by key — exactly
-  /// the complement of what advance_watermark() emitted.
-  std::vector<TomoCnf> flush();
 
   /// Folds a shard-local builder into this one: clauses are appended
   /// with their path ids re-interned into this builder's pool, stats are
@@ -167,28 +132,7 @@ class ClauseBuilder : public iclab::MeasurementSink {
   /// of how the stream was sharded or in which order shards merged.
   void canonicalize();
 
-  /// O(open windows) retire hook: drops every clause with absolute
-  /// stream index < `before` from the retained clauses()/seqs() suffix.
-  /// Stats, the pool, and any embedded streaming groups are unaffected —
-  /// only the raw stream goes.  Callers that retire must index the
-  /// stream by absolute position (clause_count() / retired_clauses()),
-  /// and may not canonicalize() a *partially* retired stream (merging
-  /// and canonicalizing a fully retired stream is fine: it is empty).
-  void retire_clauses(std::size_t before);
-  /// Clauses ever built, including retired ones (absolute stream size).
-  std::size_t clause_count() const { return retired_ + clauses_.size(); }
-  std::size_t retired_clauses() const { return retired_; }
-
-  /// Reports every retained/retired clause transition to `gauge`
-  /// (nullptr detaches).  The streaming pipeline aggregates these into
-  /// its retained-clause high-water mark (README "Any-time results &
-  /// memory model").
-  void set_retained_gauge(util::HwmGauge* gauge);
-
   const PathPool& pool() const { return pool_; }
-  /// The retained clause suffix: absolute indices
-  /// [retired_clauses(), clause_count()).  The whole stream unless
-  /// retire_clauses() was called.
   const std::vector<PathClause>& clauses() const { return clauses_; }
   /// Schedule position of each clause (parallel to clauses(); the
   /// kNumAnomalies clauses of one measurement share a value).
@@ -200,12 +144,7 @@ class ClauseBuilder : public iclab::MeasurementSink {
   PathPool pool_;
   std::vector<PathClause> clauses_;
   std::vector<std::int64_t> seqs_;
-  std::size_t retired_ = 0;
   ClauseBuildStats stats_;
-  util::HwmGauge* gauge_ = nullptr;
-  /// Non-null iff streaming mode is on (held by pointer: the complete
-  /// type only exists in cnf_builder.h).
-  std::unique_ptr<StreamingCnfBuilder> streaming_;
 };
 
 }  // namespace ct::tomo

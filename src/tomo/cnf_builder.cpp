@@ -63,10 +63,6 @@ StreamingCnfBuilder::StreamingCnfBuilder(CnfBuildOptions options, const PathPool
       grans_(distinct_sorted(options_.granularities)),
       borrowed_pool_(pool) {}
 
-void StreamingCnfBuilder::rebind_pool(const PathPool* pool) {
-  if (borrowed_pool_ != nullptr) borrowed_pool_ = pool;
-}
-
 std::size_t StreamingCnfBuilder::chain_base(std::int32_t url_id, censor::Anomaly anomaly) {
   const std::uint64_t key = util::pack_ids(url_id, static_cast<std::int32_t>(anomaly));
   const std::int32_t found = chain_index_.find(key);

@@ -16,9 +16,9 @@
 //     stream, return every CNF sorted by key.
 //   * StreamingCnfBuilder — the incremental path: feed clauses in
 //     stream order as measurements arrive, and advance_watermark(day)
-//     emits exactly the CNFs whose windows closed, while they are still
-//     warm, so SAT analysis can overlap ingest (README "Streaming
-//     ingest").
+//     emits exactly the CNFs whose windows closed, so the resident
+//     monitor analyzes each window as its day is drained (README
+//     "Streaming ingest").
 //
 // Layout.  Every key component is a small dense integer, so grouping
 // runs on flat arrays rather than node-based maps: a hash index maps
@@ -103,9 +103,9 @@ struct CnfBuildOptions {
 /// a window never reopens once emitted (a late add() throws), and the
 /// concatenation of all emitted batches is, as a set, exactly what
 /// build_cnfs() returns on the same stream — bit-identical CNFs, since
-/// both run this class.  The builder owns a private PathPool, so it can
-/// ingest clauses from any caller pool (e.g. the min-merged multi-shard
-/// stream) without coordinating path ids.
+/// both run this class.  By default the builder owns a private
+/// PathPool, so it can ingest clauses from any caller pool without
+/// coordinating path ids.
 class StreamingCnfBuilder {
  public:
   explicit StreamingCnfBuilder(CnfBuildOptions options = {});
@@ -114,16 +114,12 @@ class StreamingCnfBuilder {
   /// are already canonical (equal id <=> equal path), so clauses are
   /// filed with no per-clause re-intern.  The pool must outlive the
   /// builder (appending to it is fine; renumbering is not).  Every
-  /// production caller uses this mode — build_cnfs, ClauseBuilder, and
-  /// the multi-shard WatermarkCoordinator (which interns shard clauses
-  /// into one pool as they arrive, then borrows it).  The default
-  /// owned-pool mode re-interns per add() for callers whose source pool
-  /// ids are not canonical or not stable.
+  /// production caller uses this mode — build_cnfs and the resident
+  /// monitor (which interns each segment's clauses into one persistent
+  /// pool, then borrows it).  The default owned-pool mode re-interns
+  /// per add() for callers whose source pool ids are not canonical or
+  /// not stable.
   StreamingCnfBuilder(CnfBuildOptions options, const PathPool* pool);
-
-  /// Re-targets borrowed-pool mode at `pool` (no-op when owning); for
-  /// copies whose source borrowed a pool that was copied along with it.
-  void rebind_pool(const PathPool* pool);
 
   /// Files `clause` (whose path_id resolves in `pool`) into its open
   /// window groups.  Throws std::logic_error if clause.day precedes the
@@ -233,8 +229,8 @@ std::vector<std::pair<std::size_t, std::size_t>> chain_runs(const std::vector<To
 /// Clauses must arrive in canonical stream order and resolve in one
 /// interned pool (equal id <=> equal path; ids may only be appended, so
 /// the recorded first-path ids stay valid).  Stateful and O(pairs);
-/// both the batch strip_path_churn() and the streaming pipeline's
-/// overlapped Figure-4 pass run on this filter.
+/// both the batch strip_path_churn() and the resident monitor's
+/// Figure-4 pass run on this filter.
 class ChurnStripFilter {
  public:
   /// True iff `clause` survives the ablation.  Empty paths never do

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <stdexcept>
 #include <utility>
 
 #include "util/serde.h"
@@ -182,150 +181,6 @@ std::vector<CnfVerdict> analyze_cnfs(const std::vector<TomoCnf>& cnfs,
   }
   for (const CnfAnalyzer& arena : arenas) accumulate(stats, arena.session_stats());
   return out;
-}
-
-StreamingAnalyzer::StreamingAnalyzer(util::BoundedQueue<EmittedCnf>& queue,
-                                     StreamingAnalyzerOptions options)
-    : queue_(queue), options_(std::move(options)) {
-  const unsigned configured = options_.analysis.num_threads == 0
-                                  ? util::ThreadPool::hardware_threads()
-                                  : options_.analysis.num_threads;
-  // Same thread-budget rule as analyze_cnfs: workers x racing width
-  // stays within the configured budget.
-  const unsigned threads =
-      std::max(1u, configured / options_.analysis.backend.racing_width());
-  // Chain -> worker affinity only matters with several workers; a lone
-  // worker sees every chain anyway and skips the dispatcher hop.
-  const bool affine = options_.analysis.delta.enabled && threads > 1;
-  workers_.reserve(threads);
-  try {
-    for (unsigned w = 0; w < threads; ++w) {
-      workers_.push_back(std::make_unique<Worker>());
-      Worker* worker = workers_.back().get();
-      if (affine) {
-        worker->intake =
-            std::make_unique<util::BoundedQueue<EmittedCnf>>(queue_.capacity());
-      }
-      util::BoundedQueue<EmittedCnf>* intake = affine ? worker->intake.get() : &queue_;
-      worker->thread = std::thread([this, worker, intake] {
-        try {
-          while (std::optional<EmittedCnf> item = intake->pop()) {
-            CnfVerdict verdict = worker->arena.analyze(item->cnf, options_.analysis);
-            deliver(std::move(*item), std::move(verdict));
-          }
-        } catch (...) {
-          worker->error = std::current_exception();
-          // Keep draining (and discarding) so a full queue never blocks
-          // the producers after this worker bowed out.
-          while (intake->pop()) {
-          }
-        }
-      });
-    }
-    if (affine) {
-      dispatcher_ = std::thread([this] {
-        // Hash each CNF's chain to a worker, so every window of one
-        // (URL, anomaly, granularity) stream lands on the arena holding
-        // its predecessor's solver state.  The bounded intakes
-        // back-pressure the main queue when a worker falls behind.
-        const std::size_t n = workers_.size();
-        while (std::optional<EmittedCnf> item = queue_.pop()) {
-          const ChainKey chain = chain_of(item->cnf.key);
-          const std::size_t h = (static_cast<std::size_t>(chain.url_id) * 1000003u +
-                                 static_cast<std::size_t>(chain.anomaly) * 8191u +
-                                 static_cast<std::size_t>(chain.granularity)) %
-                                n;
-          workers_[h]->intake->push(std::move(*item));
-        }
-        for (auto& worker : workers_) worker->intake->close();
-      });
-    }
-  } catch (...) {
-    // A failed spawn (e.g. thread exhaustion) must not strand the
-    // already-started workers on an open queue — and unwinding with
-    // joinable std::threads would terminate().  Closing the intakes
-    // here too covers the case where the dispatcher never started.
-    queue_.close();
-    for (auto& worker : workers_) {
-      if (worker->intake) worker->intake->close();
-    }
-    join_all();
-    throw;
-  }
-}
-
-StreamingAnalyzer::StreamingAnalyzer(util::BoundedQueue<EmittedCnf>& queue,
-                                     const AnalysisOptions& options)
-    : StreamingAnalyzer(queue, StreamingAnalyzerOptions{options, true, nullptr, true}) {}
-
-StreamingAnalyzer::~StreamingAnalyzer() { join_all(); }
-
-void StreamingAnalyzer::join_all() {
-  // The dispatcher closes the worker intakes on exit, so it must join
-  // first or the workers would never see end-of-stream.
-  if (dispatcher_.joinable()) dispatcher_.join();
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) worker->thread.join();
-  }
-}
-
-void StreamingAnalyzer::release_locked(const TomoCnf& cnf, const CnfVerdict& verdict,
-                                       std::uint64_t seq) {
-  if (options_.on_verdict) options_.on_verdict(seq, cnf, verdict);
-}
-
-void StreamingAnalyzer::deliver(EmittedCnf&& item, CnfVerdict&& verdict) {
-  std::lock_guard<std::mutex> lock(release_mutex_);
-  if (!options_.on_verdict || !options_.ordered) {
-    // No reorder buffer needed: release (completion order) and retain.
-    release_locked(item.cnf, verdict, item.seq);
-    if (options_.retain_results) {
-      released_.emplace_back(std::move(item.cnf), std::move(verdict));
-    }
-    return;
-  }
-  // Ordered any-time release: buffer until this verdict's emission
-  // predecessors have all been released, then release the contiguous
-  // prefix.  The buffer holds at most the in-flight window (queue
-  // capacity + workers), never the run.
-  pending_.emplace(item.seq, std::make_pair(std::move(item.cnf), std::move(verdict)));
-  while (!pending_.empty() && pending_.begin()->first == next_seq_) {
-    auto node = pending_.extract(pending_.begin());
-    release_locked(node.mapped().first, node.mapped().second, node.key());
-    if (options_.retain_results) released_.push_back(std::move(node.mapped()));
-    ++next_seq_;
-  }
-}
-
-StreamingAnalyzer::Result StreamingAnalyzer::finish() {
-  join_all();
-  Result result;
-  for (const auto& worker : workers_) {
-    if (worker->error) std::rethrow_exception(worker->error);
-  }
-  for (auto& worker : workers_) {
-    accumulate(&result.stats, worker->arena.session_stats());
-  }
-  // The producers emit a gapless sequence, so after a clean join the
-  // reorder buffer must have drained through release.
-  if (!pending_.empty()) {
-    throw std::logic_error(
-        "StreamingAnalyzer::finish: emission sequence has gaps (producer "
-        "skipped or dropped a seq)");
-  }
-  std::vector<std::pair<TomoCnf, CnfVerdict>> pairs = std::move(released_);
-  released_.clear();
-  // Keys are unique per run (one CNF per (URL, anomaly, window)), so
-  // this order is total and matches build_cnfs' key-sorted output.
-  std::sort(pairs.begin(), pairs.end(),
-            [](const auto& a, const auto& b) { return a.first.key < b.first.key; });
-  result.cnfs.reserve(pairs.size());
-  result.verdicts.reserve(pairs.size());
-  for (auto& [cnf, verdict] : pairs) {
-    result.cnfs.push_back(std::move(cnf));
-    result.verdicts.push_back(std::move(verdict));
-  }
-  return result;
 }
 
 void CensorSupport::add(const CnfVerdict& verdict) {

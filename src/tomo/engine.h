@@ -27,13 +27,9 @@
 
 #include <array>
 #include <cstdint>
-#include <exception>
-#include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -41,7 +37,6 @@
 #include "sat/backend.h"
 #include "sat/session.h"
 #include "tomo/cnf_builder.h"
-#include "util/bounded_queue.h"
 
 namespace ct::tomo {
 
@@ -132,8 +127,8 @@ struct EngineStats {
   sat::PortfolioStats portfolio;
 
   /// Sums one arena's cumulative SessionStats into these counters and
-  /// bumps `arenas` — the one aggregation path shared by analyze_cnfs,
-  /// the streaming analyzer, and the resident monitor.
+  /// bumps `arenas` — the one aggregation path shared by analyze_cnfs
+  /// and the resident monitor.
   void add_arena(const sat::SessionStats& s);
 };
 
@@ -178,105 +173,6 @@ CnfVerdict analyze_cnf(const TomoCnf& tc, const AnalysisOptions& options = {});
 std::vector<CnfVerdict> analyze_cnfs(const std::vector<TomoCnf>& cnfs,
                                      const AnalysisOptions& options = {},
                                      EngineStats* stats = nullptr);
-
-/// A window-complete CNF tagged with its global emission sequence
-/// number (assigned by the producer in emitted-CNF order, 0-based and
-/// gapless).  The sequence drives StreamingAnalyzer's ordered any-time
-/// verdict release; it never influences the verdict itself.
-struct EmittedCnf {
-  std::uint64_t seq = 0;
-  TomoCnf cnf;
-};
-
-struct StreamingAnalyzerOptions {
-  AnalysisOptions analysis;
-  /// Keep every (CNF, verdict) pair for finish().  Clear it when a
-  /// verdict callback consumes the stream and nothing re-reads the
-  /// batch — finish() then returns empty vectors (stats still summed)
-  /// and the analyzer retains O(in-flight) CNFs instead of O(run).
-  bool retain_results = true;
-  /// Any-time verdict stream: called exactly once per analyzed CNF,
-  /// serialized (never concurrently with itself).  With `ordered`, calls
-  /// are released in emission-sequence order — the order the producer
-  /// emitted the CNFs, i.e. watermark order — buffering at most the
-  /// in-flight window; otherwise calls fire in completion order.
-  std::function<void(std::uint64_t seq, const TomoCnf&, const CnfVerdict&)> on_verdict;
-  bool ordered = true;
-};
-
-/// Streamed work intake for the analyzer pool: dedicated worker threads
-/// pop window-complete CNFs from a BoundedQueue *while producers are
-/// still pushing*, each worker reusing one CnfAnalyzer session arena —
-/// so SAT analysis overlaps measurement ingest instead of waiting for
-/// the full batch (README "Streaming ingest").
-///
-/// Determinism contract: a verdict depends only on its CNF and
-/// `options` (never on which worker analyzed it or in what order), and
-/// finish() sorts the collected (CNF, verdict) pairs by CnfKey — so the
-/// result is byte-identical to analyze_cnfs() over the same CNFs sorted
-/// by key, for any worker count and any queue interleaving.  The
-/// ordered verdict callback sees the same pairs in emission order,
-/// which is likewise independent of workers and interleaving.
-///
-/// Under delta loading a dispatcher thread routes each CNF to the
-/// worker its chain hashes to (chain -> worker affinity), so every
-/// window of one (URL, anomaly, granularity) stream lands on the arena
-/// holding its predecessor's solver state.  Routing only changes which
-/// worker computes a verdict, never the verdict — the contract above is
-/// untouched.
-class StreamingAnalyzer {
- public:
-  struct Result {
-    std::vector<TomoCnf> cnfs;         // sorted by key (empty if !retain_results)
-    std::vector<CnfVerdict> verdicts;  // verdicts[i] is cnfs[i]'s
-    EngineStats stats;                 // summed over worker arenas
-  };
-
-  /// Starts options.analysis.num_threads workers (0 = hardware
-  /// concurrency) consuming `queue` immediately.  The queue must
-  /// outlive finish().
-  StreamingAnalyzer(util::BoundedQueue<EmittedCnf>& queue, StreamingAnalyzerOptions options);
-  /// Result-retaining convenience, as before the any-time API.
-  StreamingAnalyzer(util::BoundedQueue<EmittedCnf>& queue, const AnalysisOptions& options);
-  /// Joins the workers (the queue must already be closed) if finish()
-  /// was never called.
-  ~StreamingAnalyzer();
-
-  StreamingAnalyzer(const StreamingAnalyzer&) = delete;
-  StreamingAnalyzer& operator=(const StreamingAnalyzer&) = delete;
-
-  unsigned num_workers() const { return static_cast<unsigned>(workers_.size()); }
-
-  /// Blocks until the queue is closed and drained, joins the workers,
-  /// and returns every analyzed CNF with its verdict, key-sorted.
-  /// Rethrows the first exception any worker hit.  Call at most once.
-  Result finish();
-
- private:
-  struct Worker {
-    CnfAnalyzer arena;
-    std::exception_ptr error;
-    std::thread thread;
-    /// Delta mode: this worker's private intake, fed by the dispatcher.
-    std::unique_ptr<util::BoundedQueue<EmittedCnf>> intake;
-  };
-
-  void join_all();
-  void deliver(EmittedCnf&& item, CnfVerdict&& verdict);
-  void release_locked(const TomoCnf& cnf, const CnfVerdict& verdict, std::uint64_t seq);
-
-  util::BoundedQueue<EmittedCnf>& queue_;
-  StreamingAnalyzerOptions options_;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::thread dispatcher_;  // delta mode, multi-worker only
-
-  /// Release state: guards the verdict callback (serialized), the
-  /// ordered reorder buffer, and the retained results.
-  std::mutex release_mutex_;
-  std::uint64_t next_seq_ = 0;  // ordered mode: next emission to release
-  std::map<std::uint64_t, std::pair<TomoCnf, CnfVerdict>> pending_;
-  std::vector<std::pair<TomoCnf, CnfVerdict>> released_;  // retained results
-};
 
 /// Incremental censor-evidence fold: consumes verdicts one at a time
 /// (any order — all state is set unions) and answers the

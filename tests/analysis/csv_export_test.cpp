@@ -101,8 +101,9 @@ TEST(CsvExport, WriteAllCreatesFiles) {
 }
 
 // Streaming-vs-batch round-trip: every CSV series produced from a
-// streaming run — whose results come entirely from the incremental
-// folds, with no retained clause or verdict stream — must be
+// streaming run — the resident monitor, whose results come entirely
+// from the incremental folds, with no retained clause or verdict
+// stream — must be
 // byte-identical to the batch run's.  The figure CSVs are the
 // experiment's machine-readable products, so this is the end-to-end
 // form of the fold equivalence contract.

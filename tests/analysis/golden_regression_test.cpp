@@ -25,7 +25,8 @@ namespace {
 // One golden file per scenario regime: the baseline keeps its historic
 // name, the stress regimes get a suffix (small_scenario_routing.txt,
 // ...).  CI's scenario matrix checks each regime's frozen numbers
-// through the sharded and streaming paths too.
+// through the sharded platform and the monitor-backed streaming mode
+// too.
 std::string golden_path() {
   const censor::ScenarioRegime regime = censor::regime_from_env();
   if (regime == censor::ScenarioRegime::kBaseline) {
@@ -112,15 +113,16 @@ TEST(GoldenRegression, SmallScenarioHeadlineNumbers) {
   expect_matches_golden(actual);
 }
 
-// The same frozen numbers must come out of the streaming pipeline:
-// a drift here but not above means the overlapped path diverged from
-// the batch path (see also streaming_equivalence_test.cpp).
+// The same frozen numbers must come out of streaming mode, which runs
+// on the resident monitor: a drift here but not above means the
+// monitor diverged from the batch path (see also
+// streaming_equivalence_test.cpp).
 TEST(GoldenRegression, SmallScenarioHeadlineNumbersStreaming) {
   if (std::getenv("CT_UPDATE_GOLDEN") != nullptr) {
     GTEST_SKIP() << "golden file is regenerated by the batch test only";
   }
   if (test::streaming_from_env()) {
-    GTEST_SKIP() << "CT_STREAMING=1 already runs the main test streaming";
+    GTEST_SKIP() << "CT_STREAMING=1 already runs the main test through the monitor";
   }
   expect_matches_golden(headline_numbers(/*force_streaming=*/true));
 }

@@ -5,7 +5,7 @@
 // experiment measures, but none of them may change the execution
 // contract: within a regime, the canonical report (serialize_report, the
 // same oracle the monitor and checkpoint suites use) must be
-// byte-identical across platform shard counts, the streaming pipeline,
+// byte-identical across platform shard counts, streaming mode,
 // delta loading on/off, and forced SAT backends.  And every stress
 // regime must actually move the world: a regime whose report matches the
 // baseline byte for byte is dead wiring, not a scenario.
@@ -84,11 +84,13 @@ TEST(ScenarioRegime, StressRegimesActuallyChangeTheWorld) {
 
 TEST(ScenarioRegime, BaselineMatchesRegimeFreeConfig) {
   // The regime layer is strictly additive: a kBaseline RegimeConfig must
-  // reproduce the pre-regime pipeline byte for byte.
+  // reproduce the pre-regime pipeline byte for byte.  Both configs come
+  // from one environment-free base, so a CT_SCENARIO regime cannot
+  // reach only one of them.
   ExperimentOptions options;
-  ScenarioConfig with_field = test::shard_scenario(20170623);
+  const ScenarioConfig untouched = test::env_free_shard_scenario(20170623);
+  ScenarioConfig with_field = untouched;
   with_field.regime = censor::RegimeConfig{};
-  ScenarioConfig untouched = test::shard_scenario(20170623);
   EXPECT_EQ(report_bytes(with_field, options), report_bytes(untouched, options));
 }
 

@@ -3,8 +3,9 @@
 // CI runs the suite across a matrix of execution modes; results must be
 // identical in every configuration:
 //   * CT_PLATFORM_SHARDS — serial (1, the default) vs sharded platform,
-//   * CT_STREAMING — batch (0, the default) vs streaming pipeline
-//     (README "Streaming ingest"),
+//   * CT_STREAMING — batch (0, the default) vs run_experiment on the
+//     resident monitor, memory bounded by one ingest segment (README
+//     "Streaming ingest"),
 //   * CT_SAT_BACKEND — per-CNF backend selection: auto (the default)
 //     or one forced backend for every CNF (README "Solver backends"),
 //   * CT_SAT_DELTA — cross-window delta loading: on (the default) vs
@@ -56,11 +57,17 @@ inline void apply_env(ScenarioConfig& config) {
 
 /// The equivalence suites' scenario: small, but long enough (3 weeks)
 /// that day/week windows close mid-run and shard plans have room.
-/// Honors CT_SCENARIO.
-inline ScenarioConfig shard_scenario(std::uint64_t seed) {
+/// Ignores CT_SCENARIO: the regime is the config default.
+inline ScenarioConfig env_free_shard_scenario(std::uint64_t seed) {
   ScenarioConfig cfg = small_scenario();
   cfg.platform.num_days = 3 * util::kDaysPerWeek;
   cfg.seed = seed;
+  return cfg;
+}
+
+/// env_free_shard_scenario() under the CT_SCENARIO regime.
+inline ScenarioConfig shard_scenario(std::uint64_t seed) {
+  ScenarioConfig cfg = env_free_shard_scenario(seed);
   apply_env(cfg);
   return cfg;
 }

@@ -143,10 +143,11 @@ TEST(BackendFuzz, CounterSessionAndUnitPropAgreeOnRandomCnfs) {
     // Full enumerations yield the same model *set* whichever engine
     // produced them (discovery order is backend-specific).
     const auto cap = static_cast<std::uint64_t>(1) << num_vars;
-    const auto cdcl_models = model_set(cdcl.enumerate({.max_models = cap}).models);
+    const EnumerateOptions all{.max_models = cap, .projection = {}};
+    const auto cdcl_models = model_set(cdcl.enumerate(all).models);
     EXPECT_EQ(cdcl_models.size(), oracle.count);
-    EXPECT_EQ(model_set(unitprop.enumerate({.max_models = cap}).models), cdcl_models);
-    EXPECT_EQ(model_set(count.enumerate({.max_models = cap}).models), cdcl_models);
+    EXPECT_EQ(model_set(unitprop.enumerate(all).models), cdcl_models);
+    EXPECT_EQ(model_set(count.enumerate(all).models), cdcl_models);
 
     // Standalone UnitPropBackend: a decided outcome is oracle-exact.
     UnitPropBackend backend;

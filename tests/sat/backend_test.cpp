@@ -290,7 +290,7 @@ TEST(SolverSession, PresolveEnumerationBeyond64FreeVars) {
   EXPECT_EQ(session.count_models_capped(5), 5u);
   EXPECT_EQ(session.count_models_capped(0), kCountCap) << "saturated exact count";
 
-  const EnumerateResult models = session.enumerate({.max_models = 4});
+  const EnumerateResult models = session.enumerate({.max_models = 4, .projection = {}});
   ASSERT_EQ(models.models.size(), 4u);
   EXPECT_TRUE(models.truncated);
   for (std::size_t i = 0; i < models.models.size(); ++i) {

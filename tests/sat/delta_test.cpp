@@ -124,7 +124,8 @@ void expect_matches_fresh(SolverSession& chained, const Cnf& cnf) {
   EXPECT_EQ(chained.count_models_capped(3), fresh.count_models_capped(3));
   EXPECT_EQ(chained.count_models_capped(0), fresh.count_models_capped(0));
 
-  const EnumerateOptions all{.max_models = 1ull << std::min<std::int32_t>(cnf.num_vars, 16)};
+  const EnumerateOptions all{.max_models = 1ull << std::min<std::int32_t>(cnf.num_vars, 16),
+                             .projection = {}};
   EXPECT_EQ(model_set(chained.enumerate(all).models),
             model_set(fresh.enumerate(all).models));
 

@@ -19,13 +19,13 @@ Cnf disjunction3() {
 }
 
 TEST(Enumerate, CountsSimpleDisjunction) {
-  const auto r = enumerate_models(disjunction3(), {.max_models = 100});
+  const auto r = enumerate_models(disjunction3(), {.max_models = 100, .projection = {}});
   EXPECT_EQ(r.models.size(), 7u);
   EXPECT_FALSE(r.truncated);
 }
 
 TEST(Enumerate, ModelsAreDistinct) {
-  auto r = enumerate_models(disjunction3(), {.max_models = 100});
+  auto r = enumerate_models(disjunction3(), {.max_models = 100, .projection = {}});
   auto models = r.models;
   for (auto& m : models) std::sort(m.begin(), m.end(), [](Lit a, Lit b) { return a.code() < b.code(); });
   std::sort(models.begin(), models.end(), [](const auto& a, const auto& b) {
@@ -36,13 +36,13 @@ TEST(Enumerate, ModelsAreDistinct) {
 }
 
 TEST(Enumerate, TruncationFlag) {
-  const auto r = enumerate_models(disjunction3(), {.max_models = 3});
+  const auto r = enumerate_models(disjunction3(), {.max_models = 3, .projection = {}});
   EXPECT_EQ(r.models.size(), 3u);
   EXPECT_TRUE(r.truncated);
 }
 
 TEST(Enumerate, ExactCapNotMarkedTruncated) {
-  const auto r = enumerate_models(disjunction3(), {.max_models = 7});
+  const auto r = enumerate_models(disjunction3(), {.max_models = 7, .projection = {}});
   EXPECT_EQ(r.models.size(), 7u);
   EXPECT_FALSE(r.truncated);
 }
@@ -72,7 +72,7 @@ TEST(Enumerate, FreeVariableDoubles) {
   Cnf cnf;
   cnf.num_vars = 2;
   cnf.add_clause({pos(0)});
-  const auto r = enumerate_models(cnf, {.max_models = 100});
+  const auto r = enumerate_models(cnf, {.max_models = 100, .projection = {}});
   EXPECT_EQ(r.models.size(), 2u);
 }
 

@@ -185,7 +185,7 @@ TEST(Portfolio, InjectedDelaysForceEachMemberToWinWithIdenticalAnswers) {
     p.set_probe_budget(0);
     p.load(cnf);
     EXPECT_EQ(p.solve({}), expected) << "the winner must not change the answer";
-    if (expected == SolveResult::kSat) EXPECT_TRUE(model_satisfies(p, cnf));
+    if (expected == SolveResult::kSat) { EXPECT_TRUE(model_satisfies(p, cnf)); }
 
     const PortfolioStats& stats = p.portfolio_stats();
     EXPECT_EQ(stats.races, 1u);

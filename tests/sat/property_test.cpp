@@ -123,7 +123,7 @@ TEST_P(SatAgreement, CounterAgreesWithBruteForce) {
 TEST_P(SatAgreement, EnumerationAgreesWithBruteForce) {
   const Cnf cnf = random_cnf(GetParam());
   const std::uint64_t expected = brute_force_count(cnf);
-  const auto r = enumerate_models(cnf, {.max_models = 1ULL << 16});
+  const auto r = enumerate_models(cnf, {.max_models = 1ULL << 16, .projection = {}});
   EXPECT_EQ(r.models.size(), expected);
   EXPECT_FALSE(r.truncated);
 }
@@ -161,11 +161,18 @@ std::vector<RandomCnfParams> make_params() {
 
 INSTANTIATE_TEST_SUITE_P(RandomCnfs, SatAgreement, ::testing::ValuesIn(make_params()),
                          [](const ::testing::TestParamInfo<RandomCnfParams>& info) {
+                           // Appended piecewise: GCC 12 misreports
+                           // `"literal" + std::string` as -Wrestrict.
                            const auto& p = info.param;
-                           return "s" + std::to_string(p.seed) + "_v" +
-                                  std::to_string(p.num_vars) + "_c" +
-                                  std::to_string(p.num_clauses) + "_l" +
-                                  std::to_string(p.max_clause_len);
+                           std::string name = "s";
+                           name += std::to_string(p.seed);
+                           name += "_v";
+                           name += std::to_string(p.num_vars);
+                           name += "_c";
+                           name += std::to_string(p.num_clauses);
+                           name += "_l";
+                           name += std::to_string(p.max_clause_len);
+                           return name;
                          });
 
 // Tomography-shaped formulas: unit-negative clauses plus positive
@@ -195,7 +202,7 @@ TEST_P(TomoShapedCnf, AllEnginesAgree) {
   const std::uint64_t expected = brute_force_count(cnf);
   ModelCounter mc;
   EXPECT_EQ(mc.count(cnf).count, expected);
-  const auto r = enumerate_models(cnf, {.max_models = 1ULL << 16});
+  const auto r = enumerate_models(cnf, {.max_models = 1ULL << 16, .projection = {}});
   EXPECT_EQ(r.models.size(), expected);
   Solver solver;
   const bool ok = solver.add_cnf(cnf);

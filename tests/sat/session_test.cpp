@@ -123,7 +123,8 @@ void expect_session_matches_oracle(SolverSession& session, const Oracle& oracle,
   EXPECT_EQ(session.count_models_capped(0), count);  // 0 = no cap
 
   // Full enumeration extends the classify/count enumeration in place.
-  const EnumerateResult all = session.enumerate({.max_models = 1u << cnf.num_vars});
+  const EnumerateResult all =
+      session.enumerate({.max_models = 1u << cnf.num_vars, .projection = {}});
   EXPECT_FALSE(all.truncated);
   EXPECT_EQ(model_set(all.models),
             std::set<std::uint32_t>(oracle.models.begin(), oracle.models.end()));
@@ -163,7 +164,7 @@ TEST(SolverSession, QueriesInAnyOrderAgree) {
     const PotentialTrueResult before = session.potential_true_vars();
     session.classify();
     const PotentialTrueResult between = session.potential_true_vars();
-    session.enumerate({.max_models = 1u << num_vars});
+    session.enumerate({.max_models = 1u << num_vars, .projection = {}});
     const PotentialTrueResult after = session.potential_true_vars();
 
     EXPECT_EQ(before.potential_true, oracle.potential_true);
@@ -181,9 +182,10 @@ TEST(SolverSession, RetractionRestartsEnumeration) {
     const Cnf cnf = random_cnf(rng, num_vars);
     SolverSession session(cnf);
 
-    const auto first = model_set(session.enumerate({.max_models = 1u << num_vars}).models);
+    const EnumerateOptions all{.max_models = 1u << num_vars, .projection = {}};
+    const auto first = model_set(session.enumerate(all).models);
     session.retract_enumeration();
-    const auto second = model_set(session.enumerate({.max_models = 1u << num_vars}).models);
+    const auto second = model_set(session.enumerate(all).models);
     EXPECT_EQ(first, second);
     EXPECT_GE(session.stats().retractions, 1u);
     // Each model beyond the first leaves at least one stored guarded
@@ -246,9 +248,9 @@ TEST(SolverSession, TruncationFlagHonest) {
   cnf.num_vars = 3;
   cnf.add_clause({pos(0), pos(1), pos(2)});
   SolverSession session(cnf);
-  EXPECT_TRUE(session.enumerate({.max_models = 3}).truncated);
-  EXPECT_FALSE(session.enumerate({.max_models = 7}).truncated);
-  EXPECT_FALSE(session.enumerate({.max_models = 100}).truncated);
+  EXPECT_TRUE(session.enumerate({.max_models = 3, .projection = {}}).truncated);
+  EXPECT_FALSE(session.enumerate({.max_models = 7, .projection = {}}).truncated);
+  EXPECT_FALSE(session.enumerate({.max_models = 100, .projection = {}}).truncated);
 }
 
 TEST(SolverSession, ProjectionChangeMidEnumerationThenCount) {
@@ -261,7 +263,7 @@ TEST(SolverSession, ProjectionChangeMidEnumerationThenCount) {
   cnf.add_clause({pos(0), pos(1), pos(2)});
   SolverSession session(cnf);
 
-  const EnumerateResult partial = session.enumerate({.max_models = 3});
+  const EnumerateResult partial = session.enumerate({.max_models = 3, .projection = {}});
   EXPECT_EQ(partial.models.size(), 3u);
   EXPECT_TRUE(partial.truncated);
   const std::uint64_t retractions_before = session.stats().retractions;

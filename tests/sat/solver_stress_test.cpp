@@ -158,7 +158,7 @@ TEST(SolverCancellation, FlagRaisedBeforeStartReturnsUnknownAndRecovers) {
   EXPECT_EQ(solver.solve(), SolveResult::kUnknown);
   stop.store(false);
   EXPECT_EQ(solver.solve(), expected);
-  if (expected == SolveResult::kSat) EXPECT_TRUE(model_satisfies(solver, cnf));
+  if (expected == SolveResult::kSat) { EXPECT_TRUE(model_satisfies(solver, cnf)); }
 }
 
 TEST(SolverCancellation, FlagRaisedAfterAnswerDoesNotDisturbTheModel) {
@@ -221,13 +221,13 @@ TEST_P(CancellationFuzz, RandomMidSearchCancellationKeepsTheSolverConsistent) {
     canceller.join();
     EXPECT_TRUE(r == expected || r == SolveResult::kUnknown)
         << "round " << round << " returned " << static_cast<int>(r);
-    if (r == SolveResult::kSat) EXPECT_TRUE(model_satisfies(solver, cnf));
+    if (r == SolveResult::kSat) { EXPECT_TRUE(model_satisfies(solver, cnf)); }
 
     // Recovery: the same solver (learnt clauses from the aborted run
     // and all) must still deliver the right answer.
     stop.store(false);
     ASSERT_EQ(solver.solve(), expected) << "round " << round;
-    if (expected == SolveResult::kSat) EXPECT_TRUE(model_satisfies(solver, cnf));
+    if (expected == SolveResult::kSat) { EXPECT_TRUE(model_satisfies(solver, cnf)); }
   }
 }
 

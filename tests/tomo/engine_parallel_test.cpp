@@ -93,7 +93,7 @@ TEST(EngineParallel, OneCnfLoadPerVerdict) {
     EXPECT_EQ(stats.cnf_loads + stats.delta_loads, verdicts.size())
         << "session engine must load each CNF exactly once — fresh or delta ("
         << threads << " threads)";
-    if (!options.delta.enabled) EXPECT_EQ(stats.delta_loads, 0u);
+    if (!options.delta.enabled) { EXPECT_EQ(stats.delta_loads, 0u); }
     EXPECT_GE(stats.solve_calls, verdicts.size());
     EXPECT_LE(stats.arenas, threads);
     EXPECT_GE(stats.arenas, 1u);
